@@ -19,7 +19,7 @@
 //                           engine (inline screen + review cadence +
 //                           hot-swap gate live, DESIGN.md §14–15), with a
 //                           defense-counter row (quarantined / released /
-//                           swap accepted / rolled back / quant_rejected)
+//                           swap accepted / rolled back)
 //                           so the perf trajectory tracks defense health.
 //
 // The report also sweeps attack_batch() once, so the instrumentation
@@ -268,16 +268,14 @@ void run_defense(int batches) {
   std::printf(
       "[defense] screened=%llu quarantined=%llu released=%llu "
       "confirmed=%llu review_passes=%llu swap_accepted=%llu "
-      "swap_rejected=%llu quant_rejected=%llu\n",
+      "swap_rejected=%llu\n",
       static_cast<unsigned long long>(dp.screened()),
       static_cast<unsigned long long>(dp.flagged()),
       static_cast<unsigned long long>(dp.released()),
       static_cast<unsigned long long>(dp.confirmed()),
       static_cast<unsigned long long>(dp.review_passes()),
       static_cast<unsigned long long>(eng.swaps_accepted()),
-      static_cast<unsigned long long>(eng.swaps_rejected()),
-      static_cast<unsigned long long>(
-          obs::counter("serve.perfdef.quant_rejected").value()));
+      static_cast<unsigned long long>(eng.swaps_rejected()));
 }
 
 void run_sdl_stripes(int writes_per_worker) {

@@ -16,12 +16,7 @@
 // spectrogram BaseCNN, served through the compiled conv-chain plan.
 // Byte-identity is asserted against the layer walk at 1 and 4 threads and
 // the compiled plan must beat the walk by --min-cnn-speedup× (the
-// committed report uses 3×). An int8 phase then enables the quantized
-// tier: FGSM- and UAP-perturbed evaluation rows feed the accuracy gate,
-// and — only if the gate admits the tier — its throughput and accuracy
-// deltas are measured. --self-check asserts the gate's bookkeeping: the
-// int8 timing ran iff the gate activated, and a refused gate incremented
-// serve.<name>.quant_rejected.
+// committed report uses 3×).
 //
 // Output: a JSON report (schema "orev-serve-bench-v2") with the workload
 // config, per-phase wall-clock throughput, virtual-latency percentiles
@@ -44,8 +39,8 @@
 //        --replicas K  --queue-capacity Q  --passes P  --min-speedup S
 //        --min-cnn-speedup S  --max-obs-overhead-pct P
 //        --max-defense-overhead-pct P  --report-out FILE
-//        --digests-out FILE  --self-check   (plus the common --threads /
-//        --metrics-out / --trace-out / --flight-dir / --fault-plan flags).
+//        --digests-out FILE   (plus the common --threads / --metrics-out /
+//        --trace-out / --flight-dir / --fault-plan flags).
 // Each phase is timed best-of-P passes (default 3): the regions are only a
 // few milliseconds long, and best-of strips scheduler noise symmetrically
 // from the reference and served measurements.
@@ -57,8 +52,6 @@
 
 #include "apps/model_zoo.hpp"
 #include "attack/clone.hpp"
-#include "attack/pgm.hpp"
-#include "attack/uap.hpp"
 #include "bench_common.hpp"
 #include "serve/serve.hpp"
 #include "util/persist/bytes.hpp"
@@ -89,8 +82,6 @@ struct Flags {
   double min_speedup = 0.0;
   /// Gate on the CNN fleet phase: compiled plan vs the layer walk.
   double min_cnn_speedup = 0.0;
-  /// Assert the int8 gate's bookkeeping (see header comment).
-  bool self_check = false;
   /// Gate on the causal-tracing overhead phase: fail when enabling span
   /// recording costs more than this percent of obs-off throughput.
   /// 0 disables the gate (the phase still runs and reports).
@@ -122,10 +113,6 @@ Flags parse_flags(int& argc, char** argv) {
       }
       return false;
     };
-    if (std::strcmp(argv[r], "--self-check") == 0) {
-      f.self_check = true;
-      continue;
-    }
     if (take("--cells", [&](const char* v) { f.cells = parse_int(v); }) ||
         take("--ues", [&](const char* v) { f.ues = parse_int(v); }) ||
         take("--rounds", [&](const char* v) { f.rounds = parse_int(v); }) ||
@@ -379,98 +366,6 @@ int main(int argc, char** argv) {
   for (const ServedRun& run : cnn_served)
     cnn_speedup = std::max(cnn_speedup, run.throughput_rps / cnn_ref_rps);
 
-  // ---- int8 quantized tier: accuracy gate, then throughput -------------
-  // Evaluation set: the first rows of the CNN fleet, labelled with the
-  // float model's own predictions (the gate measures tier *agreement*).
-  // The adversarial rows pair row-for-row with the clean set: the first
-  // half is per-sample FGSM, the second half a UAP applied to every row —
-  // the two attack families the paper runs against the IC xApp.
-  util::set_num_threads(4);
-  const int qm = std::min<int>(n, 96);
-  nn::Tensor q_clean({qm, 1, kSpecH, kSpecW});
-  for (int i = 0; i < qm; ++i)
-    q_clean.set_batch(i, cnn_inputs[static_cast<std::size_t>(i)]);
-  const std::vector<int> q_labels = cnn.predict(q_clean);
-
-  attack::Fgsm fgsm(0.08f);
-  attack::UapConfig ucfg;
-  ucfg.eps = 0.08f;
-  ucfg.max_passes = 2;
-  ucfg.target_fooling = 0.7;
-  nn::Tensor uap_seed({std::min(qm, 32), 1, kSpecH, kSpecW});
-  for (int i = 0; i < uap_seed.dim(0); ++i)
-    uap_seed.set_batch(i, cnn_inputs[static_cast<std::size_t>(i)]);
-  const attack::UapResult uap = attack::generate_uap(cnn, uap_seed, fgsm, ucfg);
-  nn::Tensor q_adv({qm, 1, kSpecH, kSpecW});
-  for (int i = 0; i < qm; ++i) {
-    if (i < qm / 2) {
-      q_adv.set_batch(i, fgsm.perturb(cnn, q_clean.slice_batch(i),
-                                      q_labels[static_cast<std::size_t>(i)]));
-    } else {
-      nn::Tensor x = q_clean.slice_batch(i);
-      for (std::size_t j = 0; j < x.numel(); ++j)
-        x[j] = std::clamp(x[j] + uap.perturbation[j], 0.0f, 1.0f);
-      q_adv.set_batch(i, x);
-    }
-  }
-
-  serve::ServeConfig qcfg = engine_config(f, "cnnq");
-  qcfg.replicas = 1;
-  qcfg.quant.enable = true;
-  qcfg.quant.calib_samples = 64;
-  qcfg.quant.tol_clean = 0.05;
-  qcfg.quant.tol_attack = 0.10;
-  serve::ServeEngine qeng(cnn.clone(), qcfg);
-  const serve::QuantGateReport qrep =
-      qeng.activate_int8_tier(q_clean, q_labels, &q_adv);
-  std::printf("[int8 gate] %s: acc %.3f->%.3f (d=%.3f)  asr %.3f->%.3f "
-              "(d=%.3f)  %s\n",
-              qrep.activated ? "activated" : "REFUSED", qrep.acc_float,
-              qrep.acc_int8, qrep.clean_delta, qrep.asr_float, qrep.asr_int8,
-              qrep.attack_delta, qrep.reason.c_str());
-
-  double int8_rps = 0.0;
-  bool int8_timed = false;
-  if (qrep.activated) {
-    std::vector<int> qpreds(cnn_inputs.size(), -1);
-    double qsec = 1e30;
-    for (int pass_i = 0; pass_i < std::max(f.passes, 1); ++pass_i) {
-      std::vector<nn::Tensor> reqs(cnn_inputs.begin(), cnn_inputs.end());
-      WallTimer t;
-      for (std::size_t i = 0; i < reqs.size(); ++i)
-        qeng.submit(std::move(reqs[i]), [&qpreds, i](
-                                            const serve::ServeResult& r) {
-          qpreds[i] = r.prediction;
-        });
-      qeng.drain();
-      qsec = std::min(qsec, t.seconds());
-    }
-    int8_rps = static_cast<double>(n) / std::max(qsec, 1e-12);
-    int8_timed = true;
-    std::printf("[int8 served t=4] %d requests in %.4fs  (%.0f req/s, "
-                "%.2fx float)\n",
-                n, qsec, int8_rps,
-                int8_rps / std::max(cnn_served.back().throughput_rps, 1e-12));
-  }
-  const std::uint64_t quant_rejected =
-      obs::counter("serve.cnnq.quant_rejected").value();
-
-  // --self-check: the int8 timing must run iff the gate admitted the
-  // tier, and any refusal must be visible on the quant_rejected counter.
-  bool self_check_ok = true;
-  if (f.self_check) {
-    self_check_ok = int8_timed == qrep.activated &&
-                    qeng.int8_active() == qrep.activated &&
-                    (qrep.activated ? quant_rejected == 0
-                                    : quant_rejected > 0);
-    std::printf("[self-check] int8 gate bookkeeping %s (activated=%s, "
-                "timed=%s, quant_rejected=%llu)\n",
-                self_check_ok ? "ok" : "VIOLATED",
-                qrep.activated ? "true" : "false",
-                int8_timed ? "true" : "false",
-                static_cast<unsigned long long>(quant_rejected));
-  }
-
   // ---- causal-tracing overhead: obs-off vs obs-on, same workload -------
   // Back-to-back best-of-passes runs of the KPM fleet at 4 threads with
   // span recording disabled then enabled. Tracing-off must be free (the
@@ -537,8 +432,8 @@ int main(int argc, char** argv) {
   const bool cnn_speedup_ok =
       f.min_cnn_speedup <= 0.0 || cnn_speedup >= f.min_cnn_speedup;
   const bool pass = byte_identical && clone_match && speedup_ok &&
-                    cnn_byte_identical && cnn_speedup_ok && self_check_ok &&
-                    obs_gate_ok && defense_gate_ok;
+                    cnn_byte_identical && cnn_speedup_ok && obs_gate_ok &&
+                    defense_gate_ok;
 
   // ---- JSON report ------------------------------------------------------
   {
@@ -623,22 +518,6 @@ int main(int argc, char** argv) {
                  "\"min_cnn_speedup\": %.2f},\n",
                  cnn_byte_identical ? "true" : "false", cnn_speedup,
                  f.min_cnn_speedup);
-    std::fprintf(
-        fp,
-        "  \"int8\": {\"attempted\": %s, \"activated\": %s, "
-        "\"eval_samples\": %d, \"adv_samples\": %d,\n"
-        "    \"acc_float\": %.4f, \"acc_int8\": %.4f, \"clean_delta\": "
-        "%.4f, \"tol_clean\": %.4f,\n"
-        "    \"asr_float\": %.4f, \"asr_int8\": %.4f, \"attack_delta\": "
-        "%.4f, \"tol_attack\": %.4f,\n"
-        "    \"throughput_rps\": %.1f, \"quant_rejected\": %llu, "
-        "\"reason\": \"%s\"},\n",
-        qrep.attempted ? "true" : "false", qrep.activated ? "true" : "false",
-        qrep.eval_samples, qrep.adv_samples, qrep.acc_float, qrep.acc_int8,
-        qrep.clean_delta, qcfg.quant.tol_clean, qrep.asr_float, qrep.asr_int8,
-        qrep.attack_delta, qcfg.quant.tol_attack, int8_rps,
-        static_cast<unsigned long long>(quant_rejected),
-        qrep.reason.c_str());
     std::fprintf(fp,
                  "  \"obs\": {\"off_rps\": %.1f, \"on_rps\": %.1f, "
                  "\"overhead_pct\": %.2f, \"max_obs_overhead_pct\": %.2f, "
@@ -698,11 +577,10 @@ int main(int argc, char** argv) {
               byte_identical ? "true" : "false", speedup, f.min_speedup,
               clone_match ? "true" : "false");
   std::printf("cnn_byte_identical=%s  cnn_speedup=%.2fx (gate %.2fx)  "
-              "int8=%s  obs_overhead=%.2f%% (%s)  "
+              "obs_overhead=%.2f%% (%s)  "
               "defense_overhead=%.2f%% (%s)  ->  %s\n",
               cnn_byte_identical ? "true" : "false", cnn_speedup,
-              f.min_cnn_speedup,
-              qrep.activated ? "activated" : "refused", obs_overhead_pct,
+              f.min_cnn_speedup, obs_overhead_pct,
               obs_gate_ok ? "ok" : "GATE FAIL", defense_overhead_pct,
               defense_gate_ok ? "ok" : "GATE FAIL",
               pass ? "PASS" : "FAIL");

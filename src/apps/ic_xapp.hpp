@@ -17,8 +17,7 @@
 // micro-batch flushes. Both variants ride the engine's compiled plans —
 // the KPM DNN through CompiledMlp, the spectrogram BaseCNN through the
 // conv-chain CompiledCnn — so served decisions stay byte-identical to the
-// layer walk (and may ride the int8 tier only once its accuracy gate has
-// passed). Requests the engine sheds without a prediction take the
+// layer walk. Requests the engine sheds without a prediction take the
 // fail-safe action (adaptive MCS). Without an engine the historical
 // synchronous path is byte-identical to before.
 //

@@ -68,6 +68,7 @@ CitySim::CitySim(const CityConfig& config) : cfg_(config), base_(config.seed) {
   for (std::uint32_t u = 0; u < cfg_.ues; ++u) {
     UeState& ue = ues_[u];
     ue.cell = u % cfg_.cells;
+    ue.owner = shard_of_cell(ue.cell);
     Rng r = ue_stream(u).split(ue.draws++);
     const std::uint64_t dwell = draw_dwell(r);
     ue.next_move_us = std::max<std::uint64_t>(
@@ -135,7 +136,10 @@ void CitySim::process_shard(std::uint32_t s, std::uint64_t horizon) {
     if (ev.type == EventType::kUeMove) {
       // Stale entries (superseded by pin_ue_move or a handover reschedule)
       // are skipped: the live schedule is whatever UeState says it is.
+      // Ownership is tested first: a UE that has handed over to another
+      // shard is that shard's to read and write during this phase.
       const UeState& ue = ues_[ev.ue];
+      if (ue.owner != s) continue;
       if (ue.next_move_us != ev.time_us || ue.move_seq != ev.seq) continue;
       digest_event(sh.digest, ev);
       ++sh.stats.events;
@@ -281,6 +285,7 @@ void CitySim::apply_handovers() {
         ++cells_[m.to_cell].ue_count;
         ++cells_[m.to_cell].handovers_since;
         UeState& ue = ues_[m.ue];
+        ue.owner = dst;
         ue.move_seq = dsh.next_seq++;
         dsh.heap.push(Event{ue.next_move_us, dst, ue.move_seq,
                             EventType::kUeMove, m.ue, 0});
@@ -398,6 +403,9 @@ persist::Status CitySim::decode_state(persist::ByteReader& r) {
     if (ue.cell >= cfg_.cells)
       return Status::Fail(StatusCode::kBadValue,
                           "citysim UE cell out of range");
+    // Checkpoints are taken between epochs, where every UE is owned by
+    // its cell's shard.
+    ue.owner = shard_of_cell(ue.cell);
   }
   for (CellState& c : cells_) {
     if (!r.u64(c.next_report_us) || !r.u64(c.report_seq) ||

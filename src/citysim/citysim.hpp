@@ -9,8 +9,11 @@
 //   1. Parallel: util::parallel_for over shards (grain 1) pops and
 //      executes every event scheduled strictly before the epoch horizon.
 //      A shard touches only state it owns — its cells, the UEs attached
-//      to them — so the phase is race-free by construction. Cross-shard
-//      handovers are appended to per-destination outbound buffers.
+//      to them — so the phase is race-free by construction. A UE's owner
+//      shard is recorded in its state and changes only at the barrier, so
+//      a shard can tell a stale entry for a UE it no longer owns without
+//      reading any field the new owner writes. Cross-shard handovers are
+//      appended to per-destination outbound buffers.
 //   2. Serial barrier: emitted KPM frames are delivered to the attached
 //      FrameSink in ascending shard order (one thread — sinks such as a
 //      NearRtRic need no locking), then handover messages are applied in
@@ -164,10 +167,16 @@ class CitySim {
  private:
   struct UeState {
     std::uint32_t cell = 0;
+    /// Shard that executes this UE's moves. Written only serially
+    /// (construction, barrier handover, restore), so the parallel phase
+    /// may read it from any shard; the other fields belong to the owner.
+    std::uint32_t owner = 0;
     std::uint64_t next_move_us = 0;
     std::uint64_t move_seq = 0;  // seq of the pending move event
     std::uint64_t draws = 0;     // per-UE randomness counter
   };
+  static_assert(sizeof(UeState) == 32,
+                "owner must fit the padding after cell");
   struct CellState {
     std::uint64_t next_report_us = 0;
     std::uint64_t report_seq = 0;        // reports emitted (frame TTI)

@@ -59,8 +59,7 @@ class CompiledPlan {
  public:
   virtual ~CompiledPlan() = default;
 
-  /// Batched argmax predictions; bit-identical to nn::Model::predict for
-  /// float plans (int8 plans are explicitly excluded from that contract).
+  /// Batched argmax predictions; bit-identical to nn::Model::predict.
   virtual std::vector<int> predict(const nn::Tensor& batch) = 0;
 
   /// Same, over a raw row-major [m, input_features] float buffer — lets
@@ -71,7 +70,7 @@ class CompiledPlan {
   virtual int input_features() const = 0;
   virtual int num_classes() const = 0;
 
-  /// Plan family tag for reports/tests: "mlp", "cnn" or "int8".
+  /// Plan family tag for reports/tests: "mlp" or "cnn".
   virtual const char* kind() const = 0;
 };
 

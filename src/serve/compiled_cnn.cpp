@@ -60,8 +60,8 @@ inline float epilogue_bn_relu(const CnnStage& s, int c, float v) {
   return v;
 }
 
-}  // namespace
-
+/// Standalone pool / BatchNorm / ReLU stages over one sample, each with
+/// the exact op order of the layer walk.
 void run_pool_stage(const CnnStage& s, const float* in, float* out) {
   const int ihw = s.in_h * s.in_w;
   const int ohw = s.out_h * s.out_w;
@@ -106,6 +106,8 @@ void run_relu_stage(const CnnStage& s, const float* in, float* out) {
   const std::size_t n = s.in_elems();
   for (std::size_t i = 0; i < n; ++i) out[i] = std::max(in[i], 0.0f);
 }
+
+}  // namespace
 
 CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
   if (!model.inference_only())
@@ -174,7 +176,6 @@ CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
       s.pad = conv->padding();
       const std::vector<nn::Param*> ps = conv->params();
       const nn::Tensor& wt = ps[0]->value;  // [out_c, patch]
-      s.weight.assign(wt.raw(), wt.raw() + wt.numel());
       // conv_stage reads the filter bank in its natural [out_c, patch]
       // layout (pixel lanes, not column tiles) — widen in place.
       s.bt.resize(wt.numel());
@@ -304,7 +305,6 @@ CompiledCnn::CompileResult CompiledCnn::compile(nn::Model& model) {
       s.out_c = d->out_features();
       const std::vector<nn::Param*> ps = d->params();
       const nn::Tensor& wt = ps[0]->value;  // [out, in]
-      s.weight.assign(wt.raw(), wt.raw() + wt.numel());
       s.bt.resize(static_cast<std::size_t>(s.in_c) * s.out_c);
       for (int o = 0; o < s.out_c; ++o)
         for (int kk = 0; kk < s.in_c; ++kk)
@@ -359,10 +359,8 @@ void CompiledCnn::ensure_scratch(int m) {
   if (gout_.size() < mm * gout_cap_) gout_.resize(mm * gout_cap_);
 }
 
-void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
-                            std::vector<float>* maxabs) {
+void CompiledCnn::run_batch(const float* rows, int m, float* logits_out) {
   ensure_scratch(m);
-  if (maxabs != nullptr) maxabs->assign(stages_.size(), 0.0f);
 
   auto run_sample = [&](std::int64_t i) {
     float* a = buf_a_.data() + static_cast<std::size_t>(i) * max_elems_;
@@ -375,13 +373,6 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
       float* dst = si + 1 == stages_.size()
                        ? logits_out + static_cast<std::size_t>(i) * classes_
                        : (cur == a ? b : a);
-      if (maxabs != nullptr && s.is_gemm()) {
-        float mx = (*maxabs)[si];
-        const std::size_t n = s.in_elems();
-        for (std::size_t e = 0; e < n; ++e)
-          mx = std::max(mx, std::fabs(cur[e]));
-        (*maxabs)[si] = mx;
-      }
       switch (s.kind) {
         case CnnStage::Kind::kConv: {
           const int patch = s.in_c * s.k * s.k;
@@ -453,20 +444,14 @@ void CompiledCnn::run_batch(const float* rows, int m, float* logits_out,
     }
   };
 
-  if (maxabs != nullptr) {
-    // Calibration path: serial so the shared maxabs accumulators are safe
-    // (and deterministic regardless of pool size).
-    for (int i = 0; i < m; ++i) run_sample(i);
-  } else {
-    // Sample-parallel with disjoint per-sample scratch slices: identical
-    // arithmetic per sample at every thread count.
-    util::parallel_for(0, m, 1, run_sample);
-  }
+  // Sample-parallel with disjoint per-sample scratch slices: identical
+  // arithmetic per sample at every thread count.
+  util::parallel_for(0, m, 1, run_sample);
 }
 
 nn::Tensor CompiledCnn::logits_rows(const float* rows, int m) {
   nn::Tensor out({m, classes_});
-  run_batch(rows, m, out.raw(), nullptr);
+  run_batch(rows, m, out.raw());
   return out;
 }
 
@@ -497,14 +482,6 @@ std::vector<int> CompiledCnn::predict(const nn::Tensor& batch) {
                      static_cast<std::size_t>(batch.dim(0)) * in0_,
              "CompiledCnn::predict expects [m, ...input_shape]");
   return predict_rows(batch.raw(), batch.dim(0));
-}
-
-std::vector<float> CompiledCnn::calibrate_input_maxabs(const float* rows,
-                                                       int m) {
-  std::vector<float> maxabs;
-  std::vector<float> logits(static_cast<std::size_t>(m) * classes_);
-  run_batch(rows, m, logits.data(), &maxabs);
-  return maxabs;
 }
 
 std::unique_ptr<CompiledPlan> compile_plan(nn::Model& model,

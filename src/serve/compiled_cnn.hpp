@@ -55,9 +55,8 @@ struct CnnStage {
   /// natural [out_c, patch] layout (conv_stage's pixel lanes), dense packs
   /// W^T as [in, out] (dense_stage's column tiles). Empty otherwise.
   std::vector<double> bt;
-  /// Raw float weights in natural layout ([out_c, patch] conv,
-  /// [out, in] dense, [c, k*k] depthwise) — the int8 quantizer and the
-  /// depthwise kernel read these.
+  /// Depthwise-only: raw float filter taps in natural [c, k*k] layout.
+  /// Empty otherwise.
   std::vector<float> weight;
   /// Conv/depthwise: always sized out_c (zero-filled when bias-less).
   /// Dense: empty when has_bias is false.
@@ -78,12 +77,6 @@ struct CnnStage {
            kind == Kind::kDense;
   }
 };
-
-/// Bit-exact helpers shared with the int8 plan's float stages. Each runs
-/// one sample's stage with the exact op order of the layer walk.
-void run_pool_stage(const CnnStage& s, const float* in, float* out);
-void run_bn_stage(const CnnStage& s, const float* in, float* out);
-void run_relu_stage(const CnnStage& s, const float* in, float* out);
 
 class CompiledCnn : public CompiledPlan {
  public:
@@ -109,17 +102,8 @@ class CompiledCnn : public CompiledPlan {
   int num_classes() const override { return classes_; }
   const char* kind() const override { return "cnn"; }
 
-  const std::vector<CnnStage>& stages() const { return stages_; }
-
-  /// Per-stage max|input| observed while running the float plan over
-  /// `rows` — the seed-deterministic activation calibration the int8
-  /// quantizer consumes. Entries for non-GEMM stages are 0. Index 0 of
-  /// the result is the max|input| of the model input itself for stage 0.
-  std::vector<float> calibrate_input_maxabs(const float* rows, int m);
-
  private:
-  void run_batch(const float* rows, int m, float* logits_out,
-                 std::vector<float>* maxabs);
+  void run_batch(const float* rows, int m, float* logits_out);
   void ensure_scratch(int m);
 
   std::vector<CnnStage> stages_;

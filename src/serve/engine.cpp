@@ -1,7 +1,6 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "util/obs/flight.hpp"
@@ -45,9 +44,6 @@ const char* serve_status_name(ServeStatus s) {
 
 ServeEngine::ServeEngine(nn::Model model, ServeConfig cfg)
     : cfg_(std::move(cfg)),
-      quant_rejected_(obs::counter(
-          "serve." + cfg_.name + ".quant_rejected",
-          "int8 tier activations refused by the accuracy gate")),
       m_swap_accepted_(obs::counter(
           "serve." + cfg_.name + ".swap_accepted",
           "hot-swaps of hardened models accepted by the gate")),
@@ -393,12 +389,10 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
   std::vector<int> preds;
   const int nshards = std::min<int>(static_cast<int>(replicas_.size()), n);
 
-  // Row → replica shard assignment is a pure function of (n, replicas,
-  // int8 tier): the int8 plan and the single-shard paths run everything
-  // on "replica 0"; the parallel path splits rows into contiguous shards.
-  // Tracing must not perturb it, so it is computed unconditionally.
-  const bool single_exec = int8_active_ || nshards == 1;
-  const int rows_per_shard = single_exec ? n : (n + nshards - 1) / nshards;
+  // Row → replica shard assignment is a pure function of (n, replicas):
+  // rows split into contiguous shards, one per replica. Tracing must not
+  // perturb it, so it is computed unconditionally.
+  const int rows_per_shard = (n + nshards - 1) / nshards;
 
   // Batch span (named after the flush trigger), parented under the first
   // request's admit span; replica spans are its children, recorded here on
@@ -413,21 +407,17 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
     for (int s = 0; s < nshards; ++s) {
       if (s * rows_per_shard >= n) break;
       shard_ctx[static_cast<std::size_t>(s)] = obs::causal_child(
-          batch_ctx, int8_active_ ? "replica.int8" : "replica.exec",
+          batch_ctx, "replica.exec",
           obs::lanes::kReplicaBase + static_cast<std::uint32_t>(s), start,
           cost);
-      if (single_exec) break;
     }
   }
-  // When the int8 tier is active the whole batch runs through the single
-  // quantized plan (it is sample-parallel internally); otherwise a lone
-  // shard uses replica 0's compiled plan. Either way rows are staged into
-  // a flat reusable buffer, skipping batch-tensor assembly — this is the
+  // A lone shard uses replica 0's compiled plan with rows staged into a
+  // flat reusable buffer, skipping batch-tensor assembly — this is the
   // latency-critical path, and CompiledPlan::predict_rows accepts inputs
   // of any rank as contiguous rows.
   CompiledPlan* staged_plan =
-      int8_active_ ? static_cast<CompiledPlan*>(int8_.get())
-                   : (nshards == 1 ? compiled_.front().get() : nullptr);
+      nshards == 1 ? compiled_.front().get() : nullptr;
   if (staged_plan != nullptr) {
     const int f = staged_plan->input_features();
     staging_.resize(static_cast<std::size_t>(n) * f);
@@ -448,10 +438,9 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
     preds = replicas_.front().predict(whole);
   } else {
     preds.assign(static_cast<std::size_t>(n), -1);
-    const int per_shard = (n + nshards - 1) / nshards;
     util::parallel_for(0, nshards, 1, [&](std::int64_t s) {
-      const int lo = static_cast<int>(s) * per_shard;
-      const int hi = std::min(n, lo + per_shard);
+      const int lo = static_cast<int>(s) * rows_per_shard;
+      const int hi = std::min(n, lo + rows_per_shard);
       if (lo >= hi) return;
       nn::Shape shard_shape = batch_shape;
       shard_shape[0] = hi - lo;
@@ -483,96 +472,6 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
   busy_until_us_ = completion;
 }
 
-QuantGateReport ServeEngine::activate_int8_tier(const nn::Tensor& clean,
-                                                const std::vector<int>& labels,
-                                                const nn::Tensor* adv) {
-  OREV_CHECK(clean.rank() >= 2 && clean.dim(0) >= 1,
-             "int8 gate needs a [m, ...input_shape] evaluation set");
-  const int m = clean.dim(0);
-  OREV_CHECK(static_cast<int>(labels.size()) == m,
-             "int8 gate labels must pair 1:1 with the evaluation rows");
-  if (adv != nullptr)
-    OREV_CHECK(adv->rank() >= 2 && adv->dim(0) == m,
-               "int8 gate adversarial set must pair row-for-row with the "
-               "clean set");
-
-  QuantGateReport rep;
-  rep.eval_samples = m;
-  rep.adv_samples = adv != nullptr ? m : 0;
-  int8_active_ = false;
-  int8_.reset();
-
-  if (!cfg_.quant.enable) {
-    rep.reason = "int8 tier disabled in ServeConfig";
-    quant_report_ = rep;
-    return rep;
-  }
-  rep.attempted = true;
-  auto refuse = [&](const std::string& why) {
-    rep.activated = false;
-    rep.reason = why;
-    quant_rejected_.inc();
-    quant_report_ = rep;
-    // Post-mortem: freeze the causal span tail at the moment of refusal.
-    obs::flight_trigger("quant.refuse", cfg_.name + ": " + why);
-    return rep;
-  };
-
-  // The quantizer needs a CompiledCnn stage list; compile one from replica
-  // 0 regardless of which plan family serves the float tier (CompiledCnn
-  // also covers flat Dense chains).
-  CompiledCnn::CompileResult cr = CompiledCnn::compile(replicas_.front());
-  if (!cr.plan)
-    return refuse(std::string("float plan not quantizable: ") +
-                  compile_error_name(cr.failure.code) +
-                  (cr.failure.detail.empty() ? "" : " — " + cr.failure.detail));
-
-  const int calib_m = std::min(m, std::max(cfg_.quant.calib_samples, 1));
-  CompileFailure qwhy;
-  std::unique_ptr<CompiledInt8> q =
-      CompiledInt8::build(*cr.plan, clean.raw(), calib_m, &qwhy);
-  if (!q)
-    return refuse(std::string("int8 build failed: ") +
-                  compile_error_name(qwhy.code) +
-                  (qwhy.detail.empty() ? "" : " — " + qwhy.detail));
-
-  // Gate metrics. The float plan's predictions are byte-identical to the
-  // layer walk, so this compares the served tiers exactly as deployed.
-  auto accuracy = [&](const std::vector<int>& preds) {
-    int hits = 0;
-    for (int i = 0; i < m; ++i)
-      if (preds[static_cast<std::size_t>(i)] ==
-          labels[static_cast<std::size_t>(i)])
-        ++hits;
-    return static_cast<double>(hits) / m;
-  };
-  rep.acc_float = accuracy(cr.plan->predict_rows(clean.raw(), m));
-  rep.acc_int8 = accuracy(q->predict_rows(clean.raw(), m));
-  rep.clean_delta = std::abs(rep.acc_float - rep.acc_int8);
-  if (adv != nullptr) {
-    // Attack success rate: fraction of adversarial rows that flip away
-    // from the true label.
-    rep.asr_float = 1.0 - accuracy(cr.plan->predict_rows(adv->raw(), m));
-    rep.asr_int8 = 1.0 - accuracy(q->predict_rows(adv->raw(), m));
-    rep.attack_delta = std::abs(rep.asr_float - rep.asr_int8);
-  }
-
-  if (rep.clean_delta > cfg_.quant.tol_clean)
-    return refuse("clean accuracy drifted " + std::to_string(rep.clean_delta) +
-                  " > tol_clean " + std::to_string(cfg_.quant.tol_clean));
-  if (adv != nullptr && rep.attack_delta > cfg_.quant.tol_attack)
-    return refuse("attack success rate drifted " +
-                  std::to_string(rep.attack_delta) + " > tol_attack " +
-                  std::to_string(cfg_.quant.tol_attack));
-
-  int8_ = std::move(q);
-  int8_active_ = true;
-  rep.activated = true;
-  rep.reason = "activated";
-  quant_report_ = rep;
-  return rep;
-}
-
 void ServeEngine::install_model(const nn::Model& candidate) {
   std::vector<nn::Model> fresh;
   fresh.reserve(replicas_.size());
@@ -586,10 +485,6 @@ void ServeEngine::install_model(const nn::Model& candidate) {
   compiled_.reserve(replicas_.size());
   for (nn::Model& replica : replicas_)
     compiled_.push_back(compile_plan(replica));
-  // The int8 tier quantized the *old* weights; it must not outlive them.
-  // Re-activation goes back through the accuracy gate.
-  int8_active_ = false;
-  int8_.reset();
 }
 
 SwapGateReport ServeEngine::request_hot_swap(const nn::Model& candidate,
@@ -632,7 +527,7 @@ SwapGateReport ServeEngine::request_hot_swap(const nn::Model& candidate,
     m_swap_rejected_.inc();
     swap_report_ = rep;
     // Rollback is implicit — nothing was installed — but the refusal is
-    // an exceptional event worth a frozen span tail, like a quant refusal.
+    // an exceptional event worth a frozen span tail.
     obs::flight_trigger("serve.swap_reject", cfg_.name + ": " + why);
     return rep;
   };
@@ -743,10 +638,6 @@ std::string ServeEngine::config_fingerprint() const {
   w.i32(cfg_.replicas);
   w.u8(cfg_.sync_fallback ? 1 : 0);
   w.u64(cfg_.seed);
-  w.u8(cfg_.quant.enable ? 1 : 0);
-  w.i32(cfg_.quant.calib_samples);
-  w.f64(cfg_.quant.tol_clean);
-  w.f64(cfg_.quant.tol_attack);
   // Defense fields only when the plane is enabled: engines that never had
   // one keep their pre-defense fingerprints (and checkpoints) valid.
   if (cfg_.defense.enable) {

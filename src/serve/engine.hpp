@@ -46,7 +46,6 @@
 #include "serve/batcher.hpp"
 #include "serve/compiled.hpp"
 #include "serve/defense_plane.hpp"
-#include "serve/quant.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 #include "serve/slo.hpp"
@@ -85,10 +84,6 @@ struct ServeConfig {
   bool sync_fallback = true;
   /// Base seed for the replica Rng streams (Rng(seed).split(replica)).
   std::uint64_t seed = 0x5e12e;
-  /// Opt-in int8 quantized tier (serve/quant.hpp). Even when enabled the
-  /// engine keeps serving float until activate_int8_tier()'s accuracy gate
-  /// passes.
-  QuantTierConfig quant;
   /// Opt-in inline adversarial defense plane (serve/defense_plane.hpp):
   /// screens every served row, quarantines flagged requests, and adds its
   /// deterministic virtual cost to the batch cost model.
@@ -195,20 +190,6 @@ class ServeEngine {
   /// Instance fault-injector override (nullptr → process-global).
   void set_fault_injector(fault::FaultInjector* fi) { fault_ = fi; }
 
-  /// Try to switch batched serving to the int8 quantized tier. Requires
-  /// cfg.quant.enable; builds the quantized plan from replica 0 (calibrated
-  /// on the first cfg.quant.calib_samples rows of `clean`) and admits it
-  /// only if clean accuracy — and, when `adv` is given, the attack success
-  /// rate over `adv` (rows paired with `labels`) — stay within
-  /// cfg.quant tolerances of the float plan. On any refusal the float tier
-  /// keeps serving and serve.<name>.quant_rejected is incremented. The
-  /// verdict (also retained as quant_report()) is returned either way.
-  QuantGateReport activate_int8_tier(const nn::Tensor& clean,
-                                     const std::vector<int>& labels,
-                                     const nn::Tensor* adv = nullptr);
-  bool int8_active() const { return int8_active_; }
-  const QuantGateReport& quant_report() const { return quant_report_; }
-
   /// The inline defense plane, or nullptr when cfg.defense.enable is off.
   /// Callers calibrate and attach the sibling through this accessor.
   DefensePlane* defense() { return defense_.get(); }
@@ -239,10 +220,10 @@ class ServeEngine {
   /// model and, when `adv` is given, attack success reduced by at least
   /// cfg.swap.min_attack_gain. Acceptance drains the queue (the swap
   /// lands on a batch boundary — no request ever straddles epochs),
-  /// installs fresh replica clones + compiled plans, retires the int8
-  /// tier, bumps the swap epoch, and — with cfg.swap.checkpoint_dir set —
-  /// durably commits engine+defense checkpoints before consulting the
-  /// "serve.swap" kill-point. Refusal (gate or injected fault) rolls back
+  /// installs fresh replica clones + compiled plans, bumps the swap epoch,
+  /// and — with cfg.swap.checkpoint_dir set — durably commits
+  /// engine+defense checkpoints before consulting the "serve.swap"
+  /// kill-point. Refusal (gate or injected fault) rolls back
   /// completely: current replicas keep serving, serve.<name>.swap_rejected
   /// increments, and a flight report freezes the span tail.
   SwapGateReport request_hot_swap(const nn::Model& candidate,
@@ -285,7 +266,7 @@ class ServeEngine {
   /// fires the release handler for every released record.
   void run_review(std::uint64_t extra_us);
   /// Replace the replica pool with inference-locked clones of `candidate`,
-  /// recompile the per-replica plans, and retire the int8 tier.
+  /// and recompile the per-replica plans.
   void install_model(const nn::Model& candidate);
 
   ServeConfig cfg_;
@@ -295,12 +276,6 @@ class ServeEngine {
   /// to the layer walk and much faster; null when the architecture is
   /// unsupported. One per replica because plans own mutable scratch.
   std::vector<std::unique_ptr<CompiledPlan>> compiled_;
-  /// Int8 quantized tier: built and routed to only after the accuracy
-  /// gate passes (activate_int8_tier). Internally sample-parallel, so the
-  /// whole batch goes through this one plan when active.
-  std::unique_ptr<CompiledInt8> int8_;
-  bool int8_active_ = false;
-  QuantGateReport quant_report_;
   /// Inline defense plane (null when disabled). Screening runs on the
   /// driving thread in row order — never inside the replica shards — so
   /// its stateful detectors see the same sequence at every thread count.
@@ -312,7 +287,6 @@ class ServeEngine {
   std::uint64_t swaps_accepted_ = 0;
   std::uint64_t swaps_rejected_ = 0;
   SwapGateReport swap_report_;
-  obs::Counter& quant_rejected_;
   obs::Counter& m_swap_accepted_;
   obs::Counter& m_swap_rejected_;
   /// Reusable flat row buffer for the single-shard compiled hot path.

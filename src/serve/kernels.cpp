@@ -324,42 +324,6 @@ __attribute__((target("avx2,avx512f"))) void conv_avx512(
   }
 }
 
-// Int8 dot-product rows: widen int8 lanes to int16, multiply-accumulate
-// pairs into int32 with pmaddwd. Integer adds associate freely, so lane
-// order cannot change the result — the dispatch here is purely about
-// speed, unlike the float kernels above where it is about preserving bits.
-__attribute__((target("avx2"))) void s8_gemm_avx2(const std::int8_t* a,
-                                                  const std::int8_t* w,
-                                                  std::int32_t* y, int m,
-                                                  int k, int n) {
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + static_cast<std::size_t>(i) * k;
-    std::int32_t* yrow = y + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const std::int8_t* wrow = w + static_cast<std::size_t>(j) * k;
-      __m256i acc = _mm256_setzero_si256();
-      int kk = 0;
-      for (; kk + 16 <= k; kk += 16) {
-        const __m256i av = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(arow + kk)));
-        const __m256i wv = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(wrow + kk)));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, wv));
-      }
-      __m128i lo = _mm256_castsi256_si128(acc);
-      __m128i hi = _mm256_extracti128_si256(acc, 1);
-      __m128i s = _mm_add_epi32(lo, hi);
-      s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4e));
-      s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xb1));
-      std::int32_t total = _mm_cvtsi128_si32(s);
-      for (; kk < k; ++kk)
-        total += static_cast<std::int32_t>(arow[kk]) *
-                 static_cast<std::int32_t>(wrow[kk]);
-      yrow[j] = total;
-    }
-  }
-}
-
 #endif  // x86_64 && GNUC
 
 #undef OREV_SERVE_STAGE_BODY
@@ -384,22 +348,6 @@ void conv_generic(const float* colsT, const double* w, const float* bias,
       }
       if (relu) v = std::max(v, 0.0f);
       out[p] = v;
-    }
-  }
-}
-
-void s8_gemm_generic(const std::int8_t* a, const std::int8_t* w,
-                     std::int32_t* y, int m, int k, int n) {
-  for (int i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + static_cast<std::size_t>(i) * k;
-    std::int32_t* yrow = y + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const std::int8_t* wrow = w + static_cast<std::size_t>(j) * k;
-      std::int32_t total = 0;
-      for (int kk = 0; kk < k; ++kk)
-        total += static_cast<std::int32_t>(arow[kk]) *
-                 static_cast<std::int32_t>(wrow[kk]);
-      yrow[j] = total;
     }
   }
 }
@@ -454,55 +402,6 @@ void conv_stage(const float* colsT, const double* w, const float* bias,
 #endif
   conv_generic(colsT, w, bias, bn_mean, bn_invstd, bn_gamma, bn_beta, relu, y,
                m, k, n);
-}
-
-void s8_gemm(const std::int8_t* a, const std::int8_t* w, std::int32_t* y,
-             int m, int k, int n) {
-#if defined(__x86_64__) && defined(__GNUC__)
-  if (isa_level() >= 1) {
-    s8_gemm_avx2(a, w, y, m, k, n);
-    return;
-  }
-#endif
-  s8_gemm_generic(a, w, y, m, k, n);
-}
-
-namespace {
-
-template <typename T>
-void im2col_any(const T* src, int c_in, int h, int w, int k, int stride,
-                int pad, int oh, int ow, T* cols) {
-  const int patch = c_in * k * k;
-  for (int oy = 0; oy < oh; ++oy) {
-    for (int ox = 0; ox < ow; ++ox) {
-      T* row = cols + (static_cast<std::size_t>(oy) * ow + ox) * patch;
-      int col = 0;
-      for (int c = 0; c < c_in; ++c) {
-        const T* plane = src + static_cast<std::size_t>(c) * h * w;
-        for (int ky = 0; ky < k; ++ky) {
-          const int iy = oy * stride - pad + ky;
-          for (int kx = 0; kx < k; ++kx) {
-            const int ix = ox * stride - pad + kx;
-            row[col++] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                             ? plane[static_cast<std::size_t>(iy) * w + ix]
-                             : T(0);
-          }
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void im2col_f32(const float* src, int c_in, int h, int w, int k, int stride,
-                int pad, int oh, int ow, float* cols) {
-  im2col_any<float>(src, c_in, h, w, k, stride, pad, oh, ow, cols);
-}
-
-void im2col_s8(const std::int8_t* src, int c_in, int h, int w, int k,
-               int stride, int pad, int oh, int ow, std::int8_t* cols) {
-  im2col_any<std::int8_t>(src, c_in, h, w, k, stride, pad, oh, ow, cols);
 }
 
 void im2col_f32_t(const float* src, int c_in, int h, int w, int k, int stride,

@@ -8,14 +8,7 @@
 // with separate multiply and add instructions — never FMA — so the
 // scalar, AVX2 and AVX-512 variants all produce bitwise-identical output
 // and the runtime ISA dispatch cannot change a single bit.
-//
-// The int8 GEMM feeds the explicitly *non*-bit-exact quantized serving
-// tier (serve/quant.hpp): pure integer dot products, so it is exact (and
-// order-independent) in its own domain; only the surrounding
-// quantize/dequantize steps lose precision.
 #pragma once
-
-#include <cstdint>
 
 namespace orev::serve::kernels {
 
@@ -25,15 +18,6 @@ namespace orev::serve::kernels {
 /// Bit-identical to nn::matmul_bt followed by the walk's epilogue loops.
 void dense_stage(const float* x, const double* bt, const float* bias,
                  bool relu, float* y, int m, int k, int n);
-
-/// Int8 GEMM: y[i, j] = sum_k int32(a[i, k]) * int32(w[j, k]) with a
-/// [m, k] row-major and w [n, k] row-major (natural weight layout —
-/// integer accumulation is order-independent, so no transpose pack is
-/// needed). Accumulators are int32; callers must keep
-/// k * 127 * 127 < 2^31 (true for every model in this repo by orders of
-/// magnitude).
-void s8_gemm(const std::int8_t* a, const std::int8_t* w, std::int32_t* y,
-             int m, int k, int n);
 
 /// Fused convolution stage over a *transposed* patch matrix: colsT is
 /// [k, m] (m = oh*ow output pixels), w is the natural [n, k] filter bank
@@ -50,21 +34,13 @@ void conv_stage(const float* colsT, const double* w, const float* bias,
                 const float* bn_gamma, const float* bn_beta, bool relu,
                 float* y, int m, int k, int n);
 
-/// im2col for one [C, H, W] sample: produces a [oh*ow, C*k*k] row-major
-/// patch matrix with explicit zero padding, in (c, ky, kx) patch order —
-/// byte-identical data movement to the nn::Conv2D forward path.
-void im2col_f32(const float* src, int c_in, int h, int w, int k, int stride,
-                int pad, int oh, int ow, float* cols);
-
-/// Transposed im2col: same patch values, laid out [C*k*k, oh*ow] so
-/// conv_stage's pixel lanes read contiguously. Layout is internal to the
-/// plan — only values, never layout, affect the bit-exactness contract.
+/// Transposed im2col for one [C, H, W] sample: the patch values of the
+/// nn::Conv2D forward path (explicit zero padding, (c, ky, kx) patch
+/// order), laid out [C*k*k, oh*ow] so conv_stage's pixel lanes read
+/// contiguously. Layout is internal to the plan — only values, never
+/// layout, affect the bit-exactness contract.
 void im2col_f32_t(const float* src, int c_in, int h, int w, int k, int stride,
                   int pad, int oh, int ow, float* colsT);
-
-/// Same packing over an int8 plane (padding quantizes to 0 exactly).
-void im2col_s8(const std::int8_t* src, int c_in, int h, int w, int k,
-               int stride, int pad, int oh, int ow, std::int8_t* cols);
 
 /// Selected ISA for the dispatched kernels: 0 scalar, 1 AVX2, 2 AVX-512.
 int isa_level();

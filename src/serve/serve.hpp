@@ -7,7 +7,6 @@
 #include "serve/compiled_cnn.hpp"
 #include "serve/defense_plane.hpp"
 #include "serve/engine.hpp"
-#include "serve/quant.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
 #include "serve/slo.hpp"

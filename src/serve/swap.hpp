@@ -2,9 +2,8 @@
 //
 // defense::harden() produces a fine-tuned candidate from the quarantine
 // loop's fine-tuning queue; this is the contract under which the engine
-// promotes it into the replica pool. The idiom generalizes the int8
-// tier's accuracy gate (serve/quant.hpp): the candidate serves only if
-// its clean accuracy stays within tolerance of the current model AND —
+// promotes it into the replica pool: the candidate serves only if its
+// clean accuracy stays within tolerance of the current model AND —
 // when an adversarial evaluation set is given — it actually reduces the
 // attack success rate by at least the configured gain. A refused swap
 // rolls back completely: the current replicas keep serving, the refusal
@@ -14,10 +13,9 @@
 // admission queue — every in-flight request completes under the model it
 // was admitted against, so no batch ever straddles epochs — then clones
 // the candidate into a fresh replica pool, recompiles the inference
-// plans, retires the int8 tier (its weights are the old model's), and
-// increments the swap epoch. The defense plane stamps the new epoch onto
-// subsequent quarantine records, making "flagged under epoch N, reviewed
-// under N+1" visible in every review outcome.
+// plans, and increments the swap epoch. The defense plane stamps the new
+// epoch onto subsequent quarantine records, making "flagged under epoch
+// N, reviewed under N+1" visible in every review outcome.
 //
 // Durability: when `checkpoint_dir` is set, an accepted swap commits the
 // engine and defense-plane checkpoints before returning, then consults

@@ -1,7 +1,7 @@
 // Flight recorder: bounded post-mortem snapshots of the causal span log.
 //
 // When something exceptional happens — a circuit breaker opens, a
-// kill-point crash fires, the int8 quant gate refuses a model — the
+// kill-point crash fires, the hot-swap gate refuses a model — the
 // interesting evidence is the last few dozen causally-linked spans, and
 // by the time a human looks, the ring has long since overwritten them.
 // flight_trigger() freezes the tail of the causal log (last ≤128 spans)
@@ -27,7 +27,8 @@ void set_flight_dir(const std::string& dir);
 std::string flight_dir();
 
 /// Record a flight report for `reason` (short stable tag, e.g.
-/// "breaker.open", "kill_point", "quant.refuse") with free-form `detail`.
+/// "breaker.open", "kill_point", "serve.swap_reject") with free-form
+/// `detail`.
 /// Returns the trigger sequence number (1-based).
 std::uint64_t flight_trigger(std::string_view reason, std::string_view detail);
 

@@ -212,6 +212,49 @@ TEST(CitySim, CrossShardHandoverLandsAtTheBarrier) {
   EXPECT_GE(s.handovers_intra + s.handovers_cross, 1u);
 }
 
+TEST(CitySim, StaleEntryInTheOldShardNeverRunsAMigratedUe) {
+  // Two cells, two shards, two UEs; reports and background mobility are
+  // parked far beyond the run, and every move changes cell (so every
+  // move crosses shards). UE 0 starts in cell 0 / shard 0. Seeding gives
+  // both shards the seqs {0: cell, 1: UE}.
+  citysim::CityConfig cfg;
+  cfg.cells = 2;
+  cfg.ues = 2;
+  cfg.shards = 2;
+  cfg.seed = 0x0a11;
+  cfg.epoch_us = 100000;
+  cfg.report_period_us = 1000000000000ull;
+  cfg.mean_dwell_us = 1000000000000ull;
+  cfg.handover_prob = 1.0;
+  const std::uint64_t t = cfg.epoch_us + 500;  // in the second epoch
+  ThreadGuard guard;
+  std::string digest;
+  for (const int threads : {1, 4}) {
+    util::set_num_threads(threads);
+    citysim::CitySim sim(cfg);
+    // Shard 0 schedules seqs 2, 3, 4 for UE 0; only the last is live, so
+    // (t, 3) is left behind as a stale entry in shard 0.
+    sim.pin_ue_move(0, 3 * cfg.epoch_us);
+    sim.pin_ue_move(0, t);
+    sim.pin_ue_move(0, 10);
+    sim.run_epochs(1);  // the move at 10 hands UE 0 over to shard 1
+    ASSERT_EQ(sim.ue_cell(0), 1u);
+    // Shard 1 took seq 2 at the barrier; this pin takes seq 3, so UE 0's
+    // live move (t, 3) in shard 1 collides with shard 0's stale (t, 3).
+    // Only the owner may run it — as a second cross-shard handover.
+    sim.pin_ue_move(0, t);
+    sim.run_epochs(1);
+    const citysim::CityStats st = sim.stats();
+    EXPECT_EQ(st.events, 2u) << "at " << threads << " threads";
+    EXPECT_EQ(st.handovers_cross, 2u) << "at " << threads << " threads";
+    EXPECT_EQ(st.handovers_intra, 0u) << "at " << threads << " threads";
+    EXPECT_EQ(sim.ue_cell(0), 0u);
+    EXPECT_EQ(sim.cell_ue_count(0) + sim.cell_ue_count(1), cfg.ues);
+    if (digest.empty()) digest = sim.event_digest();
+    EXPECT_EQ(sim.event_digest(), digest) << "at " << threads << " threads";
+  }
+}
+
 TEST(CitySim, ZeroUeCellsStillReport) {
   ThreadGuard guard;
   util::set_num_threads(2);

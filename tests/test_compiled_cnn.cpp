@@ -1,6 +1,6 @@
 // Differential lockdown for the compiled conv-chain plans (DESIGN.md §12).
 //
-// Four suites:
+// Three suites:
 //   * CompiledCnnDifferential — randomized Conv/DepthwiseConv/Pool/BN/Dense
 //     architectures (seeded shapes, strides, paddings, odd channel counts)
 //     whose compiled logits must be byte-identical to the layer walk at
@@ -8,24 +8,16 @@
 //   * CompiledCnnErrors — property tests that unsupported layers, collapsed
 //     dims and inference-mode violations come back as *typed* compile
 //     failures, never a crash or exception;
-//   * Int8Calibrator / Int8Gate — fuzzing the quantizer's activation
-//     calibration on constant / denormal-adjacent / extreme-range inputs,
-//     plus both accuracy-gate verdicts: a passing fixture that activates
-//     the tier and a quantization-hostile fixture (decision margins far
-//     below the int8 rounding step) that must be refused, fall back to
-//     float, and increment serve.<name>.quant_rejected;
 //   * ServeCheckpoint — nn/serialize round-trip for Conv2D /
 //     DepthwiseConv2D / BatchNorm state in serving checkpoints, and a
 //     committed golden CNN checkpoint whose compiled predictions are
 //     locked byte-for-byte (regenerate with OREV_UPDATE_GOLDEN=1).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -39,7 +31,6 @@
 #include "serve/serve.hpp"
 #include "test_helpers.hpp"
 #include "util/csv.hpp"
-#include "util/obs/metrics.hpp"
 #include "util/sha256.hpp"
 #include "util/thread_pool.hpp"
 
@@ -52,12 +43,7 @@ namespace {
 
 using serve::compile_error_name;
 using serve::CompiledCnn;
-using serve::CompiledInt8;
 using serve::CompileError;
-using serve::ServeConfig;
-using serve::ServeEngine;
-using serve::ServeResult;
-using serve::ServeStatus;
 
 class ThreadGuard {
  public:
@@ -343,214 +329,6 @@ TEST(CompiledCnnErrors, ShapeMismatchesAreTyped) {
     m.set_inference_only(true);
     expect_failure(m, CompileError::kShapeMismatch);
   }
-}
-
-// ------------------------------------------------ int8 calibrator fuzz --
-
-/// Small conv chain for the quantizer tests: input [1, 8, 8], 3 classes.
-nn::Model quant_cnn_model(std::uint64_t seed = 0x9a17) {
-  auto seq = std::make_unique<nn::Sequential>();
-  seq->emplace<nn::Conv2D>(1, 4, 3, /*stride=*/1, /*padding=*/1);
-  seq->emplace<nn::ReLU>();
-  seq->emplace<nn::MaxPool2D>(2);
-  seq->emplace<nn::Flatten>();
-  seq->emplace<nn::Dense>(4 * 4 * 4, 8);
-  seq->emplace<nn::ReLU>();
-  seq->emplace<nn::Dense>(8, 3);
-  nn::Model m("QuantCnn", std::move(seq), {1, 8, 8}, 3);
-  Rng rng(seed);
-  m.init(rng);
-  m.set_inference_only(true);
-  return m;
-}
-
-TEST(Int8Calibrator, HostileActivationDistributionsProduceUsableScales) {
-  nn::Model m = quant_cnn_model();
-  CompiledCnn::CompileResult r = CompiledCnn::compile(m);
-  ASSERT_NE(r.plan, nullptr);
-  const int rows = 12, feats = 64;
-
-  struct Dist {
-    const char* name;
-    float lo, hi;
-  };
-  // Constant, all-zero, denormal-adjacent and extreme-range calibration
-  // sets: every one must yield finite positive scales for every GEMM
-  // stage (the scale floor handles maxabs == 0) and valid predictions.
-  const Dist dists[] = {
-      {"zeros", 0.0f, 0.0f},
-      {"constant", 0.5f, 0.5f},
-      {"denormal-adjacent", -1e-38f, 1e-38f},
-      {"extreme-range", -1e30f, 1e30f},
-      {"mixed", -3.0f, 3.0f},
-  };
-  Rng rng(0xfe2);
-  for (const Dist& d : dists) {
-    std::vector<float> calib(static_cast<std::size_t>(rows) * feats);
-    for (float& v : calib) v = rng.uniform(d.lo, d.hi);
-    serve::CompileFailure why;
-    std::unique_ptr<CompiledInt8> q =
-        CompiledInt8::build(*r.plan, calib.data(), rows, &why);
-    ASSERT_NE(q, nullptr) << d.name << ": " << why.detail;
-    const std::vector<float>& scales = q->stage_scales();
-    ASSERT_EQ(scales.size(), r.plan->stages().size()) << d.name;
-    for (std::size_t i = 0; i < scales.size(); ++i) {
-      if (!r.plan->stages()[i].is_gemm()) continue;
-      EXPECT_TRUE(std::isfinite(scales[i]) && scales[i] > 0.0f)
-          << d.name << " stage " << i << " scale " << scales[i];
-    }
-    const std::vector<int> preds = q->predict_rows(calib.data(), rows);
-    for (int p : preds) {
-      EXPECT_GE(p, 0) << d.name;
-      EXPECT_LT(p, 3) << d.name;
-    }
-  }
-}
-
-TEST(Int8Calibrator, NonFiniteCalibrationOrWeightsAreTypedRefusals) {
-  nn::Model m = quant_cnn_model();
-  CompiledCnn::CompileResult r = CompiledCnn::compile(m);
-  ASSERT_NE(r.plan, nullptr);
-
-  std::vector<float> calib(64, 0.25f);
-  calib[7] = std::numeric_limits<float>::quiet_NaN();
-  serve::CompileFailure why;
-  EXPECT_EQ(CompiledInt8::build(*r.plan, calib.data(), 1, &why), nullptr);
-  EXPECT_EQ(why.code, CompileError::kNonFiniteStats);
-
-  calib[7] = 0.25f;
-  EXPECT_EQ(CompiledInt8::build(*r.plan, calib.data(), 0, &why), nullptr);
-  EXPECT_EQ(why.code, CompileError::kBadDims);
-  EXPECT_EQ(CompiledInt8::build(*r.plan, nullptr, 4, &why), nullptr);
-  EXPECT_EQ(why.code, CompileError::kBadDims);
-
-  // An infinite weight is caught at quantization time, not served.
-  nn::Model bad = test::known_linear_model();
-  std::vector<nn::Tensor> w;
-  w.push_back(nn::Tensor({2, 2},
-                         {1.0f, std::numeric_limits<float>::infinity(), 1.0f,
-                          1.0f}));
-  w.push_back(nn::Tensor({2}, {0.0f, 0.0f}));
-  bad.set_weights(w);
-  bad.set_inference_only(true);
-  CompiledCnn::CompileResult br = CompiledCnn::compile(bad);
-  ASSERT_NE(br.plan, nullptr);
-  EXPECT_EQ(CompiledInt8::build(*br.plan, calib.data(), 4, &why), nullptr);
-  EXPECT_EQ(why.code, CompileError::kNonFiniteStats);
-}
-
-// ----------------------------------------------------- int8 accuracy gate --
-
-TEST(Int8Gate, ActivatesWhenTheQuantizedTierAgreesWithFloat) {
-  nn::Model m = apps::make_base_cnn({1, 16, 16}, 4, 29);
-  const nn::Tensor clean = random_batch(m, 64, 0x6a7e, 0.0f, 1.0f);
-  m.set_inference_only(true);
-  const std::vector<int> labels = m.predict(clean);
-
-  ServeConfig cfg;
-  cfg.name = "gatepass";
-  cfg.quant.enable = true;
-  cfg.quant.calib_samples = 32;
-  ServeEngine eng(m.clone(), cfg);
-
-  const double rejected_before =
-      obs::counter("serve.gatepass.quant_rejected").value();
-  const serve::QuantGateReport rep = eng.activate_int8_tier(clean, labels);
-  EXPECT_TRUE(rep.attempted);
-  EXPECT_TRUE(rep.activated) << rep.reason;
-  EXPECT_TRUE(eng.int8_active());
-  EXPECT_EQ(rep.reason, "activated");
-  EXPECT_DOUBLE_EQ(rep.acc_float, 1.0);  // labels are the float predictions
-  EXPECT_LE(rep.clean_delta, cfg.quant.tol_clean);
-  EXPECT_EQ(obs::counter("serve.gatepass.quant_rejected").value(),
-            rejected_before);
-  EXPECT_EQ(eng.quant_report().reason, rep.reason);
-
-  // The engine keeps serving through the quantized tier: every request is
-  // batched (not degraded) and yields a valid class.
-  std::vector<ServeResult> results(16);
-  for (int i = 0; i < 16; ++i)
-    eng.submit(clean.slice_batch(i),
-               [&results, i](const ServeResult& r) { results[i] = r; });
-  eng.drain();
-  for (const ServeResult& r : results) {
-    EXPECT_EQ(r.status, ServeStatus::kOk);
-    EXPECT_GE(r.prediction, 0);
-    EXPECT_LT(r.prediction, 4);
-  }
-}
-
-TEST(Int8Gate, RefusesQuantizationHostileModelAndFallsBackToFloat) {
-  // Decision margin (3e-5 on the second logit's weight) is orders of
-  // magnitude below the int8 rounding step (max|w| / 127 ≈ 8e-3): both
-  // weight rows quantize to identical integers, so the int8 decision rule
-  // degenerates to sign(x0 + x1) while the float rule is sign(x1). Every
-  // evaluation row below makes the two disagree → clean delta 1.0.
-  auto seq = std::make_unique<nn::Sequential>();
-  seq->emplace<nn::Dense>(2, 2, /*bias=*/false);
-  nn::Model m("HairlineMargin", std::move(seq), {2}, 2);
-  std::vector<nn::Tensor> w;
-  w.push_back(nn::Tensor({2, 2}, {1.0f, 1.0f, 1.0f, 1.00003f}));
-  m.set_weights(w);
-
-  nn::Tensor clean({8, 2});
-  for (int i = 0; i < 8; ++i) {
-    const float sign = i % 2 == 0 ? 1.0f : -1.0f;
-    clean.at2(i, 0) = -0.8f * sign;
-    clean.at2(i, 1) = 0.05f * sign;
-  }
-  nn::Model ref = m.clone();
-  ref.set_inference_only(true);
-  const std::vector<int> labels = ref.predict(clean);
-
-  ServeConfig cfg;
-  cfg.name = "gatefail";
-  cfg.quant.enable = true;
-  ServeEngine eng(std::move(m), cfg);
-  const double rejected_before =
-      obs::counter("serve.gatefail.quant_rejected").value();
-  const serve::QuantGateReport rep = eng.activate_int8_tier(clean, labels);
-
-  EXPECT_TRUE(rep.attempted);
-  EXPECT_FALSE(rep.activated);
-  EXPECT_FALSE(eng.int8_active());
-  EXPECT_GT(rep.clean_delta, cfg.quant.tol_clean);
-  EXPECT_NE(rep.reason.find("clean accuracy drifted"), std::string::npos)
-      << rep.reason;
-  EXPECT_EQ(obs::counter("serve.gatefail.quant_rejected").value(),
-            rejected_before + 1.0);
-
-  // Refused tier → the float path keeps serving, byte-identical to the
-  // engine's own unbatched reference.
-  std::vector<int> reference;
-  for (int i = 0; i < 8; ++i)
-    reference.push_back(eng.predict_sync(clean.slice_batch(i)));
-  std::vector<ServeResult> results(8);
-  for (int i = 0; i < 8; ++i)
-    eng.submit(clean.slice_batch(i),
-               [&results, i](const ServeResult& r) { results[i] = r; });
-  eng.drain();
-  for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(results[static_cast<std::size_t>(i)].prediction,
-              reference[static_cast<std::size_t>(i)])
-        << "request " << i;
-}
-
-TEST(Int8Gate, DisabledTierIsNotCountedAsARejection) {
-  nn::Model m = quant_cnn_model();
-  const nn::Tensor clean = random_batch(m, 8, 0xd15a, 0.0f, 1.0f);
-  const std::vector<int> labels = m.predict(clean);
-  ServeConfig cfg;
-  cfg.name = "gateoff";  // quant.enable stays false
-  ServeEngine eng(m.clone(), cfg);
-  const double rejected_before =
-      obs::counter("serve.gateoff.quant_rejected").value();
-  const serve::QuantGateReport rep = eng.activate_int8_tier(clean, labels);
-  EXPECT_FALSE(rep.attempted);
-  EXPECT_FALSE(rep.activated);
-  EXPECT_FALSE(eng.int8_active());
-  EXPECT_EQ(obs::counter("serve.gateoff.quant_rejected").value(),
-            rejected_before);
 }
 
 // --------------------------------------------- checkpoint serialization --

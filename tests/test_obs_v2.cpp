@@ -279,13 +279,14 @@ TEST(FlightRecorder, WritesReportFileWhenDirConfigured) {
       obs::derive_trace_id(obs::domains::kServe, 9), "serve.admit",
       obs::lanes::kAdmit, 5);
   (void)root;
-  const std::uint64_t seq = obs::flight_trigger("quant.refuse", "cnnq: gate");
+  const std::uint64_t seq =
+      obs::flight_trigger("serve.swap_reject", "fleet: gate");
   obs::set_flight_dir("");
   EXPECT_GE(seq, 1u);
   bool found = false;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
     const std::string fn = e.path().filename().string();
-    if (fn.find("flight-") == 0 && fn.find("quant") != std::string::npos)
+    if (fn.find("flight-") == 0 && fn.find("swap_reject") != std::string::npos)
       found = true;
   }
   EXPECT_TRUE(found) << "no flight-*.json under " << dir;

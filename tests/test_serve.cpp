@@ -728,41 +728,5 @@ TEST_F(ServeTraceTest, FlightRecorderFiresWhenTheBreakerOpens) {
   EXPECT_NE(report.find(id), std::string::npos) << report;
 }
 
-TEST(ServeTrace, FlightRecorderFiresWhenTheQuantGateRefuses) {
-  CausalGuard cg;
-  // Hairline decision margin far below the int8 rounding step: the gate's
-  // clean-accuracy check must refuse the tier (see Int8Gate tests).
-  auto seq = std::make_unique<nn::Sequential>();
-  seq->emplace<nn::Dense>(2, 2, /*bias=*/false);
-  nn::Model m("FlightHairline", std::move(seq), {2}, 2);
-  std::vector<nn::Tensor> w;
-  w.push_back(nn::Tensor({2, 2}, {1.0f, 1.0f, 1.0f, 1.00003f}));
-  m.set_weights(w);
-
-  nn::Tensor clean({8, 2});
-  for (int i = 0; i < 8; ++i) {
-    const float sign = i % 2 == 0 ? 1.0f : -1.0f;
-    clean.at2(i, 0) = -0.8f * sign;
-    clean.at2(i, 1) = 0.05f * sign;
-  }
-  nn::Model ref = m.clone();
-  ref.set_inference_only(true);
-  const std::vector<int> labels = ref.predict(clean);
-
-  ServeConfig cfg;
-  cfg.name = "flightgate";
-  cfg.quant.enable = true;
-  ServeEngine eng(std::move(m), cfg);
-
-  const std::uint64_t before = obs::flight_trigger_count();
-  const serve::QuantGateReport rep = eng.activate_int8_tier(clean, labels);
-  EXPECT_TRUE(rep.attempted);
-  EXPECT_FALSE(rep.activated);
-  EXPECT_EQ(obs::flight_trigger_count(), before + 1);
-  const std::string report = obs::flight_last_report();
-  EXPECT_NE(report.find("quant.refuse"), std::string::npos) << report;
-  EXPECT_NE(report.find("flightgate"), std::string::npos) << report;
-}
-
 }  // namespace
 }  // namespace orev
