@@ -301,9 +301,8 @@ void run_sdl_stripes(int writes_per_worker) {
     for (int w = 0; w < kWorkers; ++w) {
       keys.push_back("cell-" + std::to_string(w));
       bufs.emplace_back(kPayloadFloats, static_cast<float>(w));
-      OREV_CHECK(sdl.write_tensor_inplace(
-                     "perf", "telemetry/kpm", keys.back(), shape,
-                     std::span<const float>(bufs.back())) ==
+      OREV_CHECK(sdl.write_tensor("perf", "telemetry/kpm", keys.back(), shape,
+                                  std::span<const float>(bufs.back())) ==
                      oran::SdlStatus::kOk,
                  "seed write must succeed");
     }
@@ -311,7 +310,7 @@ void run_sdl_stripes(int writes_per_worker) {
       for (int i = 0; i < writes_per_worker; ++i) {
         bufs[static_cast<std::size_t>(w)][0] = static_cast<float>(i);
         OREV_CHECK(
-            sdl.write_tensor_inplace(
+            sdl.write_tensor(
                 "perf", "telemetry/kpm", keys[static_cast<std::size_t>(w)],
                 shape,
                 std::span<const float>(bufs[static_cast<std::size_t>(w)])) ==
@@ -456,13 +455,16 @@ void diff_against_cityscale_baseline(const std::string& path) {
     return;
   }
   // The cityscale report's "scale" array opens with the single-thread run;
-  // the name scan lands on that first object. "copy"/"move"/"binary" only
+  // the name scan lands on that first object. The codec arm names only
   // occur inside the codec section, "striped" inside the sdl section.
+  // Reports before the single delivery core carry "copy"/"move" arms,
+  // later ones "tensor"; an arm a report lacks is skipped.
   std::printf("--- cityscale emulation vs %s ---\n", path.c_str());
   std::printf("%-26s ue_epochs/s=%.3e  ind/s=%.3e\n", "scale baseline (1 thr)",
               baseline_field(json, "scale", "ue_epochs_per_sec"),
               baseline_field(json, "scale", "indications_per_sec"));
-  for (const char* side : {"copy", "move", "binary"}) {
+  for (const char* side : {"copy", "move", "tensor", "binary"}) {
+    if (std::isnan(baseline_field(json, side, "inds_per_sec"))) continue;
     std::printf("%-26s inds/s=%.3e  allocs/ind=%.2f\n",
                 (std::string("codec ") + side).c_str(),
                 baseline_field(json, side, "inds_per_sec"),

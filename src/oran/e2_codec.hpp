@@ -31,8 +31,10 @@
 // feature array sits at offset 20 — not 4-float-aligned — and casting to
 // float* would be undefined behaviour.
 //
-// The legacy tensor-based deliver_indication() path is untouched — golden
-// outputs that flow through it stay byte-identical.
+// NearRtRic::deliver_kpm_frame decodes a frame into reusable scratch and
+// hands it to the same delivery core as deliver_indication(), so fault
+// handling, counters, the SDL write and dispatch are identical for a
+// frame and a tensor indication carrying the same features.
 #pragma once
 
 #include <cstdint>

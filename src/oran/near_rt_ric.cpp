@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <utility>
 
 #include "oran/e2_codec.hpp"
 #include "util/check.hpp"
@@ -74,185 +75,13 @@ std::uint64_t NearRtRic::breaker_opens(const std::string& app_id) const {
   return it == breakers_.end() ? 0 : it->second.times_opened();
 }
 
-bool NearRtRic::deliver_indication(const E2Indication& ind) {
-  static obs::Counter& indications =
-      obs::counter("oran.e2.indications", "E2 indications delivered");
-  static obs::Counter& dropped = obs::counter(
-      "oran.e2.indications_dropped", "E2 indications lost in transport");
-  static obs::Counter& duplicated = obs::counter(
-      "oran.e2.indications_duplicated", "E2 indications duplicated in transport");
-  static obs::Counter& corrupted = obs::counter(
-      "oran.e2.indications_corrupted", "E2 indication payloads corrupted");
-  static obs::Counter& ind_bytes = obs::counter(
-      "oran.e2.indication_bytes",
-      "telemetry payload bytes carried by delivered E2 indications");
+bool NearRtRic::deliver_indication(E2Indication ind) {
   OREV_TRACE_SPAN_CAT("e2.deliver_indication", "oran");
-
-  // Transport fate of this indication (drop / delay / duplicate / corrupt).
-  int copies = 1;
-  double transport_delay_ms = 0.0;
-  const E2Indication* effective = &ind;
-  E2Indication corrupted_ind;
-  if (fault::FaultInjector* fi = fault::effective(fault_)) {
-    const fault::FaultDecision d = fi->decide(fault::sites::kE2Indication);
-    switch (d.kind) {
-      case fault::FaultKind::kDrop:
-        ++indications_dropped_;
-        dropped.inc();
-        return false;
-      case fault::FaultKind::kDuplicate:
-        copies = 2;
-        duplicated.inc();
-        break;
-      case fault::FaultKind::kDelay:
-        transport_delay_ms = d.delay_ms;
-        break;
-      case fault::FaultKind::kCorrupt: {
-        corrupted.inc();
-        corrupted_ind = ind;
-        Rng rng(d.payload_seed);
-        for (std::size_t i = 0; i < corrupted_ind.payload.numel(); ++i)
-          corrupted_ind.payload[i] += rng.normal(0.0f, d.corrupt_scale);
-        effective = &corrupted_ind;
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  for (int copy = 0; copy < copies; ++copy) {
-    indications.inc();
-    ind_bytes.inc(effective->payload.numel() * sizeof(float));
-    ++indications_;
-    // Causal root for this delivery: trace id from the platform-wide
-    // delivery sequence number (duplicated copies get distinct traces),
-    // timestamped on the RIC's own virtual lane clock (1 ms per
-    // delivery). Invalid context — and zero cost — when tracing is off.
-    obs::TraceContext root;
-    if (obs::causal_enabled()) {
-      root = obs::causal_root(
-          obs::derive_trace_id(obs::domains::kE2, indications_),
-          "e2.indication", obs::lanes::kIndication, indications_ * 1000);
-    }
-    const char* ns = effective->kind == IndicationKind::kSpectrogram
-                         ? kNsSpectrogram
-                         : kNsKpm;
-    const std::string key = effective->ran_node_id + "/current";
-    // The platform write retries transient storage faults; if the store
-    // stays down the loop degrades instead of dying — xApps fall back to
-    // their last-known-good telemetry or a fail-safe decision.
-    const fault::RetryOutcome rc =
-        fault::retry_call(retry_, retry_ops_++, [&] {
-          switch (sdl_.write_tensor(kRicPlatformId, ns, key,
-                                    effective->payload)) {
-            case SdlStatus::kOk: return fault::TryResult::kOk;
-            case SdlStatus::kUnavailable: return fault::TryResult::kTransient;
-            default: return fault::TryResult::kFatal;
-          }
-        });
-    if (!rc.success) {
-      static obs::Counter& write_failures = obs::counter(
-          "oran.e2.sdl_write_failures",
-          "platform telemetry writes that failed after retries");
-      ++sdl_write_failures_;
-      write_failures.inc();
-      log_warn("platform SDL write failed after ", rc.attempts,
-               " attempt(s); dispatching degraded");
-    }
-    dispatch_all(*effective, transport_delay_ms, root);
-  }
-  return true;
-}
-
-bool NearRtRic::deliver_indication(E2Indication&& ind) {
-  static obs::Counter& indications =
-      obs::counter("oran.e2.indications", "E2 indications delivered");
-  static obs::Counter& dropped = obs::counter(
-      "oran.e2.indications_dropped", "E2 indications lost in transport");
-  static obs::Counter& duplicated = obs::counter(
-      "oran.e2.indications_duplicated", "E2 indications duplicated in transport");
-  static obs::Counter& corrupted = obs::counter(
-      "oran.e2.indications_corrupted", "E2 indication payloads corrupted");
-  static obs::Counter& ind_bytes = obs::counter(
-      "oran.e2.indication_bytes",
-      "telemetry payload bytes carried by delivered E2 indications");
-  OREV_TRACE_SPAN_CAT("e2.deliver_indication", "oran");
-
-  // Owned payload: corruption perturbs it in place (no defensive copy),
-  // and the final SDL write moves the buffer instead of copying it.
-  int copies = 1;
-  double transport_delay_ms = 0.0;
-  if (fault::FaultInjector* fi = fault::effective(fault_)) {
-    const fault::FaultDecision d = fi->decide(fault::sites::kE2Indication);
-    switch (d.kind) {
-      case fault::FaultKind::kDrop:
-        ++indications_dropped_;
-        dropped.inc();
-        return false;
-      case fault::FaultKind::kDuplicate:
-        copies = 2;
-        duplicated.inc();
-        break;
-      case fault::FaultKind::kDelay:
-        transport_delay_ms = d.delay_ms;
-        break;
-      case fault::FaultKind::kCorrupt: {
-        corrupted.inc();
-        Rng rng(d.payload_seed);
-        for (std::size_t i = 0; i < ind.payload.numel(); ++i)
-          ind.payload[i] += rng.normal(0.0f, d.corrupt_scale);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  const char* ns = ind.kind == IndicationKind::kSpectrogram ? kNsSpectrogram
-                                                            : kNsKpm;
-  const std::string key = ind.ran_node_id + "/current";
-  for (int copy = 0; copy < copies; ++copy) {
-    indications.inc();
-    ind_bytes.inc(ind.payload.numel() * sizeof(float));
-    ++indications_;
-    obs::TraceContext root;
-    if (obs::causal_enabled()) {
-      root = obs::causal_root(
-          obs::derive_trace_id(obs::domains::kE2, indications_),
-          "e2.indication", obs::lanes::kIndication, indications_ * 1000);
-    }
-    const bool last = copy + 1 == copies;
-    const fault::RetryOutcome rc =
-        fault::retry_call(retry_, retry_ops_++, [&] {
-          // The rvalue SDL overload consumes the tensor only on commit,
-          // so re-moving it on a retry after kUnavailable is sound. A
-          // duplicated first copy still has to copy (the second needs
-          // the payload too).
-          const SdlStatus st =
-              last ? sdl_.write_tensor(kRicPlatformId, ns, key,
-                                       std::move(ind.payload))
-                   : sdl_.write_tensor(kRicPlatformId, ns, key, ind.payload);
-          switch (st) {
-            case SdlStatus::kOk: return fault::TryResult::kOk;
-            case SdlStatus::kUnavailable: return fault::TryResult::kTransient;
-            default: return fault::TryResult::kFatal;
-          }
-        });
-    if (!rc.success) {
-      static obs::Counter& write_failures = obs::counter(
-          "oran.e2.sdl_write_failures",
-          "platform telemetry writes that failed after retries");
-      ++sdl_write_failures_;
-      write_failures.inc();
-      log_warn("platform SDL write failed after ", rc.attempts,
-               " attempt(s); dispatching degraded");
-    }
-    // After the last write the payload has been moved into the SDL; the
-    // dispatched indication is metadata-only, which is all apps consume.
-    dispatch_all(ind, transport_delay_ms, root);
-  }
-  return true;
+  // The payload leaves the message for the platform write; what is
+  // dispatched is metadata only, which is all apps consume.
+  nn::Tensor payload = std::exchange(ind.payload, nn::Tensor{});
+  return deliver(ind, ind.ran_node_id + "/current", payload.shape(),
+                 payload.data()) > 0;
 }
 
 bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
@@ -261,17 +90,6 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
   static obs::Counter& rejected = obs::counter(
       "oran.e2.kpm_frames_rejected",
       "binary KPM frames rejected by the decoder");
-  static obs::Counter& ind_bytes = obs::counter(
-      "oran.e2.indication_bytes",
-      "telemetry payload bytes carried by delivered E2 indications");
-  static obs::Counter& indications =
-      obs::counter("oran.e2.indications", "E2 indications delivered");
-  static obs::Counter& dropped = obs::counter(
-      "oran.e2.indications_dropped", "E2 indications lost in transport");
-  static obs::Counter& duplicated = obs::counter(
-      "oran.e2.indications_duplicated", "E2 indications duplicated in transport");
-  static obs::Counter& corrupted = obs::counter(
-      "oran.e2.indications_corrupted", "E2 indication payloads corrupted");
   OREV_TRACE_SPAN_CAT("e2.deliver_kpm_frame", "oran");
 
   KpmFrameView view;
@@ -304,6 +122,27 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
       kpm_shape_[0] != static_cast<int>(view.feature_count))
     kpm_shape_ = nn::Shape{static_cast<int>(view.feature_count)};
 
+  const int copies = deliver(kpm_scratch_, kpm_key_, kpm_shape_,
+                             kpm_features_);
+  frames.inc(static_cast<std::uint64_t>(copies));
+  return copies > 0;
+}
+
+int NearRtRic::deliver(const E2Indication& ind, const std::string& key,
+                       const nn::Shape& shape, std::span<float> payload) {
+  static obs::Counter& indications =
+      obs::counter("oran.e2.indications", "E2 indications delivered");
+  static obs::Counter& dropped = obs::counter(
+      "oran.e2.indications_dropped", "E2 indications lost in transport");
+  static obs::Counter& duplicated = obs::counter(
+      "oran.e2.indications_duplicated", "E2 indications duplicated in transport");
+  static obs::Counter& corrupted = obs::counter(
+      "oran.e2.indications_corrupted", "E2 indication payloads corrupted");
+  static obs::Counter& ind_bytes = obs::counter(
+      "oran.e2.indication_bytes",
+      "telemetry payload bytes carried by delivered E2 indications");
+
+  // Transport fate of this indication (drop / delay / duplicate / corrupt).
   int copies = 1;
   double transport_delay_ms = 0.0;
   if (fault::FaultInjector* fi = fault::effective(fault_)) {
@@ -312,7 +151,7 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
       case fault::FaultKind::kDrop:
         ++indications_dropped_;
         dropped.inc();
-        return false;
+        return 0;
       case fault::FaultKind::kDuplicate:
         copies = 2;
         duplicated.inc();
@@ -323,7 +162,7 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
       case fault::FaultKind::kCorrupt: {
         corrupted.inc();
         Rng rng(d.payload_seed);
-        for (float& f : kpm_features_) f += rng.normal(0.0f, d.corrupt_scale);
+        for (float& f : payload) f += rng.normal(0.0f, d.corrupt_scale);
         break;
       }
       default:
@@ -331,25 +170,29 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
     }
   }
 
-  const char* ns = kpm_scratch_.kind == IndicationKind::kSpectrogram
-                       ? kNsSpectrogram
-                       : kNsKpm;
+  const char* ns = ind.kind == IndicationKind::kSpectrogram ? kNsSpectrogram
+                                                            : kNsKpm;
   for (int copy = 0; copy < copies; ++copy) {
-    frames.inc();
-    ind_bytes.inc(frame.size());
     indications.inc();
+    ind_bytes.inc(payload.size_bytes());
     ++indications_;
+    // Causal root for this delivery: trace id from the platform-wide
+    // delivery sequence number (duplicated copies get distinct traces),
+    // timestamped on the RIC's own virtual lane clock (1 ms per
+    // delivery). Invalid context — and zero cost — when tracing is off.
     obs::TraceContext root;
     if (obs::causal_enabled()) {
       root = obs::causal_root(
           obs::derive_trace_id(obs::domains::kE2, indications_),
           "e2.indication", obs::lanes::kIndication, indications_ * 1000);
     }
+    // The platform write retries transient storage faults; if the store
+    // stays down the loop degrades instead of dying — xApps fall back to
+    // their last-known-good telemetry or a fail-safe decision.
     const fault::RetryOutcome rc =
         fault::retry_call(retry_, retry_ops_++, [&] {
-          switch (sdl_.write_tensor_inplace(
-              kRicPlatformId, ns, kpm_key_, kpm_shape_,
-              std::span<const float>(kpm_features_))) {
+          switch (sdl_.write_tensor(kRicPlatformId, ns, key, shape,
+                                    payload)) {
             case SdlStatus::kOk: return fault::TryResult::kOk;
             case SdlStatus::kUnavailable: return fault::TryResult::kTransient;
             default: return fault::TryResult::kFatal;
@@ -364,9 +207,9 @@ bool NearRtRic::deliver_kpm_frame(std::string_view frame) {
       log_warn("platform SDL write failed after ", rc.attempts,
                " attempt(s); dispatching degraded");
     }
-    dispatch_all(kpm_scratch_, transport_delay_ms, root);
+    dispatch_all(ind, transport_delay_ms, root);
   }
-  return true;
+  return copies;
 }
 
 void NearRtRic::dispatch_all(const E2Indication& ind,

@@ -25,7 +25,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "oran/a1.hpp"
@@ -96,24 +98,21 @@ class NearRtRic {
   void connect_e2(E2Node* node);
 
   /// Deliver one indication: platform SDL write + prioritized dispatch.
-  /// Returns false when the indication was lost to an injected transport
-  /// drop (the RAN side may retransmit).
-  bool deliver_indication(const E2Indication& ind);
+  /// Taken by value, so an rvalue caller hands its payload over without a
+  /// copy. The payload goes into the platform SDL write; the indication
+  /// handed to xApps afterwards carries an empty payload — apps read
+  /// telemetry through the SDL (read_telemetry), never from the in-flight
+  /// message, which is exactly the paper's attack surface. Returns false
+  /// when the indication was lost to an injected transport drop (the RAN
+  /// side may retransmit).
+  bool deliver_indication(E2Indication ind);
 
-  /// Move-in delivery: identical flow, but the payload buffer is moved
-  /// (not copied) into the platform SDL write, so the tensor allocation
-  /// made by the RAN side is the only one on the whole path. The
-  /// indication handed to xApps afterwards carries an empty payload —
-  /// apps read telemetry through the SDL (read_telemetry), never from
-  /// the in-flight message, which is exactly the paper's attack surface.
-  bool deliver_indication(E2Indication&& ind);
-
-  /// Binary KPM hot path (DESIGN.md §16): decode one e2_codec frame and
-  /// deliver it with zero per-message allocation at steady state — the
-  /// decoded features land in a reusable scratch buffer and the SDL write
-  /// goes through write_tensor_inplace. Malformed frames (truncated, bit
-  /// flipped, wrong magic/version) are rejected and counted, never
-  /// dispatched. Returns false on rejection or injected transport drop.
+  /// Binary KPM path (DESIGN.md §16): decode one e2_codec frame into a
+  /// reusable scratch buffer and hand it to the same delivery core as
+  /// deliver_indication, whose SDL write copies into the existing entry.
+  /// Malformed frames (truncated, bit flipped, wrong magic/version) are
+  /// rejected and counted, never dispatched. Returns false on rejection
+  /// or injected transport drop.
   bool deliver_kpm_frame(std::string_view frame);
 
   /// Frames rejected by the binary decoder since construction.
@@ -174,6 +173,15 @@ class NearRtRic {
     int priority = 0;
   };
 
+  /// The one delivery core behind both entries, in order: the
+  /// e2.indication fault decision (drop / duplicate / delay / corrupt
+  /// `payload` in place), then per delivered copy the indication counters,
+  /// the causal root, the retried platform SDL write of `payload` under
+  /// `key`, and the dispatch of the metadata-only `ind`. Returns the number
+  /// of copies delivered (0 = dropped in transport).
+  int deliver(const E2Indication& ind, const std::string& key,
+              const nn::Shape& shape, std::span<float> payload);
+
   /// `root` is the indication's causal root span (invalid when causal
   /// tracing is off); each app dispatch becomes a child span and the
   /// indication copy handed to the app carries that child context.
@@ -198,7 +206,7 @@ class NearRtRic {
   std::uint64_t retry_ops_ = 0;
   std::uint64_t frames_rejected_ = 0;
   // Reusable scratch for the binary KPM path: after the first frame at a
-  // node's steady-state feature count, delivery allocates nothing.
+  // node's steady-state feature count, none of it is reallocated.
   E2Indication kpm_scratch_;
   std::vector<float> kpm_features_;
   nn::Shape kpm_shape_;

@@ -1,7 +1,6 @@
 #include "oran/sdl.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "nn/serialize.hpp"
 #include "util/check.hpp"
@@ -135,15 +134,13 @@ void Sdl::set_audit_capacity(std::size_t capacity) {
   }
 }
 
-SdlStatus Sdl::storage_fault(Op op, nn::Tensor* payload) const {
+SdlStatus Sdl::storage_fault(Op op, fault::FaultDecision* corrupt) const {
   fault::FaultInjector* fi = fault::effective(fault_);
   if (fi == nullptr) return SdlStatus::kOk;
   static obs::Counter& unavailable = obs::counter(
       "oran.sdl.unavailable", "SDL ops failed by injected transient faults");
   static obs::Counter& lost = obs::counter(
       "oran.sdl.writes_lost", "SDL writes silently dropped by faults");
-  static obs::Counter& corrupted = obs::counter(
-      "oran.sdl.corrupted", "SDL payloads corrupted by faults");
   const bool is_read = op == Op::kRead;
   const fault::FaultDecision d =
       fi->decide(is_read ? fault::sites::kSdlRead : fault::sites::kSdlWrite);
@@ -166,13 +163,7 @@ SdlStatus Sdl::storage_fault(Op op, nn::Tensor* payload) const {
       dropped_writes_.fetch_add(1, std::memory_order_relaxed);
       return SdlStatus::kNotFound;  // sentinel: caller drops the write
     case fault::FaultKind::kCorrupt:
-      if (payload != nullptr && !payload->empty()) {
-        corrupted.inc();
-        corrupted_writes_.fetch_add(1, std::memory_order_relaxed);
-        Rng rng(d.payload_seed);
-        for (std::size_t i = 0; i < payload->numel(); ++i)
-          (*payload)[i] += rng.normal(0.0f, d.corrupt_scale);
-      }
+      if (corrupt != nullptr) *corrupt = d;
       return SdlStatus::kOk;
     default:
       return SdlStatus::kOk;
@@ -205,17 +196,13 @@ SdlStatus Sdl::shard_fault(Op op) const {
 }
 
 SdlStatus Sdl::write_tensor(const std::string& app_id, const std::string& ns,
-                            const std::string& key, const nn::Tensor& value) {
-  // Copying-then-delegating preserves the historical by-value semantics
-  // exactly: a corrupt fault perturbs the copy, never the caller's tensor.
-  nn::Tensor copy = value;
-  return write_tensor(app_id, ns, key, std::move(copy));
-}
-
-SdlStatus Sdl::write_tensor(const std::string& app_id, const std::string& ns,
-                            const std::string& key, nn::Tensor&& value) {
+                            const std::string& key, const nn::Shape& shape,
+                            std::span<const float> data) {
+  OREV_CHECK(nn::shape_numel(shape) == data.size(),
+             "SDL tensor write payload does not match its shape");
   if (!check(app_id, ns, key, Op::kWrite)) return SdlStatus::kDenied;
-  const SdlStatus fault_st = storage_fault(Op::kWrite, &value);
+  fault::FaultDecision corrupt;
+  const SdlStatus fault_st = storage_fault(Op::kWrite, &corrupt);
   if (fault_st == SdlStatus::kUnavailable) return SdlStatus::kUnavailable;
   if (fault_st == SdlStatus::kNotFound) return SdlStatus::kOk;  // lost write
   if (shard_fault(Op::kWrite) == SdlStatus::kUnavailable)
@@ -224,44 +211,23 @@ SdlStatus Sdl::write_tensor(const std::string& app_id, const std::string& ns,
   // the kind of long-tailed series fixed buckets misrepresent.
   static obs::SketchMetric& write_values = obs::sketch(
       "oran.sdl.write_values", 0.01, "tensor elements per committed SDL write");
-  write_values.observe(static_cast<double>(value.numel()));
-  const std::size_t si = stripe_of(ns, key);
-  std::unique_lock<std::mutex> lk = lock_stripe(si);
-  Entry& e = stripes_[si]->store[{ns, key}];
-  e.tensor = std::move(value);
-  e.is_tensor = true;
-  e.writer = app_id;
-  ++e.version;
-  journal_write(ns, key, e);
-  return SdlStatus::kOk;
-}
-
-SdlStatus Sdl::write_tensor_inplace(const std::string& app_id,
-                                    const std::string& ns,
-                                    const std::string& key,
-                                    const nn::Shape& shape,
-                                    std::span<const float> data) {
-  OREV_CHECK(nn::shape_numel(shape) == data.size(),
-             "write_tensor_inplace payload does not match its shape");
-  if (!check(app_id, ns, key, Op::kWrite)) return SdlStatus::kDenied;
-  // The fault surface is identical to write_tensor; corruption is applied
-  // to the stored entry after the copy so the caller's span stays const.
-  const SdlStatus fault_st = storage_fault(Op::kWrite, nullptr);
-  if (fault_st == SdlStatus::kUnavailable) return SdlStatus::kUnavailable;
-  if (fault_st == SdlStatus::kNotFound) return SdlStatus::kOk;  // lost write
-  if (shard_fault(Op::kWrite) == SdlStatus::kUnavailable)
-    return SdlStatus::kUnavailable;
-  static obs::SketchMetric& write_values = obs::sketch(
-      "oran.sdl.write_values", 0.01, "tensor elements per committed SDL write");
   write_values.observe(static_cast<double>(data.size()));
   const std::size_t si = stripe_of(ns, key);
   std::unique_lock<std::mutex> lk = lock_stripe(si);
   Entry& e = stripes_[si]->store[{ns, key}];
   if (e.is_tensor && e.tensor.shape() == shape) {
-    std::memcpy(e.tensor.raw(), data.data(), data.size() * sizeof(float));
+    std::copy(data.begin(), data.end(), e.tensor.raw());
   } else {
-    e.tensor = nn::Tensor(shape,
-                          std::vector<float>(data.begin(), data.end()));
+    e.tensor = nn::Tensor(shape, std::vector<float>(data.begin(), data.end()));
+  }
+  if (corrupt.kind == fault::FaultKind::kCorrupt && !data.empty()) {
+    static obs::Counter& corrupted = obs::counter(
+        "oran.sdl.corrupted", "SDL payloads corrupted by faults");
+    corrupted.inc();
+    corrupted_writes_.fetch_add(1, std::memory_order_relaxed);
+    Rng rng(corrupt.payload_seed);
+    for (float& v : e.tensor.data())
+      v += rng.normal(0.0f, corrupt.corrupt_scale);
   }
   e.is_tensor = true;
   e.writer = app_id;
@@ -273,7 +239,7 @@ SdlStatus Sdl::write_tensor_inplace(const std::string& app_id,
 SdlStatus Sdl::write_text(const std::string& app_id, const std::string& ns,
                           const std::string& key, std::string value) {
   if (!check(app_id, ns, key, Op::kWrite)) return SdlStatus::kDenied;
-  const SdlStatus fault_st = storage_fault(Op::kWrite, nullptr);
+  const SdlStatus fault_st = storage_fault(Op::kWrite);
   if (fault_st == SdlStatus::kUnavailable) return SdlStatus::kUnavailable;
   if (fault_st == SdlStatus::kNotFound) return SdlStatus::kOk;  // lost write
   if (shard_fault(Op::kWrite) == SdlStatus::kUnavailable)
@@ -292,7 +258,7 @@ SdlStatus Sdl::write_text(const std::string& app_id, const std::string& ns,
 SdlStatus Sdl::read_tensor(const std::string& app_id, const std::string& ns,
                            const std::string& key, nn::Tensor& out) const {
   if (!check(app_id, ns, key, Op::kRead)) return SdlStatus::kDenied;
-  if (storage_fault(Op::kRead, nullptr) == SdlStatus::kUnavailable)
+  if (storage_fault(Op::kRead) == SdlStatus::kUnavailable)
     return SdlStatus::kUnavailable;
   if (shard_fault(Op::kRead) == SdlStatus::kUnavailable)
     return SdlStatus::kUnavailable;
@@ -308,7 +274,7 @@ SdlStatus Sdl::read_tensor(const std::string& app_id, const std::string& ns,
 SdlStatus Sdl::read_text(const std::string& app_id, const std::string& ns,
                          const std::string& key, std::string& out) const {
   if (!check(app_id, ns, key, Op::kRead)) return SdlStatus::kDenied;
-  if (storage_fault(Op::kRead, nullptr) == SdlStatus::kUnavailable)
+  if (storage_fault(Op::kRead) == SdlStatus::kUnavailable)
     return SdlStatus::kUnavailable;
   if (shard_fault(Op::kRead) == SdlStatus::kUnavailable)
     return SdlStatus::kUnavailable;

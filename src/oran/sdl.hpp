@@ -23,10 +23,10 @@
 // (site "sdl.read"/"sdl.write", plus per-partition outages at site
 // "sdl.shard"). Transient faults surface as SdlStatus::kUnavailable — a
 // retryable condition distinct from kDenied / kNotFound — write drops are
-// silently lost, and corruption perturbs the stored/returned tensor
-// deterministically. With no injector the store is perfectly reliable, as
-// before. The audit log is a bounded ring so long chaos soaks cannot grow
-// it without bound.
+// silently lost, and a corrupt write perturbs the committed tensor entry
+// deterministically (never the writer's buffer). With no injector the
+// store is perfectly reliable, as before. The audit log is a bounded ring
+// so long chaos soaks cannot grow it without bound.
 #pragma once
 
 #include <atomic>
@@ -68,30 +68,22 @@ class Sdl {
   /// The RBAC engine must outlive the SDL.
   explicit Sdl(const Rbac* rbac, std::size_t stripes = kDefaultStripes);
 
+  /// The one tensor write: when the entry already holds a tensor of
+  /// `shape`, the payload is copied into its existing storage (the KPM
+  /// steady state: no new tensor per indication); otherwise a fresh
+  /// tensor is stored. The caller's buffer is never modified: an
+  /// injected sdl.write corrupt perturbs the committed entry, and only
+  /// once the per-stripe outage check has passed.
   SdlStatus write_tensor(const std::string& app_id, const std::string& ns,
-                         const std::string& key, const nn::Tensor& value);
-
-  /// Move-in write for the indication hot path: `value` is consumed only
-  /// when the write commits, so a retry loop that re-moves the same
-  /// tensor after kUnavailable still holds its payload. (Corner case: a
-  /// corrupt fault perturbs `value` in place before a later shard-outage
-  /// check, so a retried payload can carry the perturbation — the caller
-  /// handed over ownership, and faults are opt-in test machinery.)
+                         const std::string& key, const nn::Shape& shape,
+                         std::span<const float> data);
   SdlStatus write_tensor(const std::string& app_id, const std::string& ns,
-                         const std::string& key, nn::Tensor&& value);
+                         const std::string& key, const nn::Tensor& value) {
+    return write_tensor(app_id, ns, key, value.shape(), value.data());
+  }
 
   SdlStatus write_text(const std::string& app_id, const std::string& ns,
                        const std::string& key, std::string value);
-
-  /// Allocation-free tensor write for the binary KPM hot path: when the
-  /// entry already holds a tensor of `shape`, the payload is copied into
-  /// its existing storage (no allocation); otherwise this degrades to a
-  /// fresh tensor. Versioning, audit, fault and journal semantics are
-  /// identical to write_tensor.
-  SdlStatus write_tensor_inplace(const std::string& app_id,
-                                 const std::string& ns, const std::string& key,
-                                 const nn::Shape& shape,
-                                 std::span<const float> data);
 
   /// Read into `out`; returns kDenied/kNotFound/kUnavailable without
   /// touching `out` on failure.
@@ -139,7 +131,7 @@ class Sdl {
   std::uint64_t unavailable_writes() const { return unavailable_writes_; }
   /// Writes silently lost (reported kOk, store untouched).
   std::uint64_t dropped_writes() const { return dropped_writes_; }
-  /// Writes whose payload was corrupted before storing.
+  /// Committed writes whose stored payload was corrupted by a fault.
   std::uint64_t corrupted_writes() const { return corrupted_writes_; }
 
   /// All keys currently present in a namespace, ascending.
@@ -201,8 +193,11 @@ class Sdl {
              const std::string& key, Op op) const;
 
   /// Fault decision for one storage op; returns the injected status to
-  /// surface (kOk = proceed normally). May corrupt `payload` in place.
-  SdlStatus storage_fault(Op op, nn::Tensor* payload) const;
+  /// surface (kOk = proceed normally). A corrupt decision is handed back
+  /// through `corrupt` (when non-null) for the caller to apply to the
+  /// committed payload; without it corruption has nothing to perturb.
+  SdlStatus storage_fault(Op op,
+                          fault::FaultDecision* corrupt = nullptr) const;
 
   /// Per-partition outage site ("sdl.shard"): kUnavailable on a transient
   /// decision, kOk otherwise. Drawn once per stripe access under a plan.

@@ -1,6 +1,6 @@
 // City-scale emulation plane (DESIGN.md §16): deterministic sharded
 // simulator, binary KPM codec, CRC-32C, checkpointing, striped SDL
-// equivalence, and the NearRtRic binary/move delivery paths.
+// equivalence, and the NearRtRic's two delivery entries.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +13,7 @@
 #include "oran/near_rt_ric.hpp"
 #include "oran/onboarding.hpp"
 #include "oran/sdl.hpp"
+#include "util/fault/fault.hpp"
 #include "util/obs/obs.hpp"
 #include "util/persist/persist.hpp"
 #include "util/thread_pool.hpp"
@@ -426,6 +427,82 @@ TEST(RicDelivery, MalformedFramesAreCountedNotDispatched) {
   flipped[oran::kKpmFrameHeaderBytes] ^= 0x01;
   EXPECT_FALSE(fx.ric.deliver_kpm_frame(flipped));
   EXPECT_EQ(fx.ric.frames_rejected(), 2u);
+}
+
+// Both entries feed one delivery core, so under the same fault plan a
+// feature vector must leave the same SDL entry, corruption count, byte
+// count and dispatch count whichever entry it arrives through.
+struct EntryOutcome {
+  std::vector<float> stored;
+  std::uint64_t corrupted_writes = 0;
+  std::uint64_t indication_bytes = 0;
+  int dispatches = 0;
+};
+
+EntryOutcome deliver_through_one_entry(bool binary, const std::string& plan,
+                                       const std::vector<float>& feats) {
+  RicFixture fx;
+  fault::FaultInjector injector(fault::FaultPlan::parse(plan));
+  fx.ric.set_fault_injector(&injector);
+  EntryOutcome out;
+  fx.ric.set_post_dispatch_hook([&out] { ++out.dispatches; });
+  obs::Counter& bytes = obs::counter("oran.e2.indication_bytes");
+  const std::uint64_t before = bytes.value();
+  if (binary) {
+    oran::KpmFrameArena arena;
+    EXPECT_TRUE(fx.ric.deliver_kpm_frame(arena.encode(
+        5, 1, oran::IndicationKind::kKpm, std::span<const float>(feats))));
+  } else {
+    oran::E2Indication ind;
+    ind.ran_node_id = "cell-5";
+    ind.tti = 1;
+    ind.kind = oran::IndicationKind::kKpm;
+    ind.payload =
+        nn::Tensor({static_cast<int>(feats.size())}, std::vector(feats));
+    EXPECT_TRUE(fx.ric.deliver_indication(ind));
+  }
+  out.indication_bytes = bytes.value() - before;
+  out.corrupted_writes = fx.ric.sdl().corrupted_writes();
+  fx.ric.set_fault_injector(nullptr);
+  nn::Tensor stored;
+  EXPECT_EQ(fx.ric.sdl().read_tensor(oran::kRicPlatformId, oran::kNsKpm,
+                                     "cell-5/current", stored),
+            oran::SdlStatus::kOk);
+  out.stored.assign(stored.data().begin(), stored.data().end());
+  return out;
+}
+
+/// Delivers `feats` once through each entry into a fresh RIC under
+/// `plan`, expects every observable to agree, and returns the binary run.
+EntryOutcome expect_entries_agree(const std::string& plan,
+                                  const std::vector<float>& feats) {
+  const EntryOutcome tensor = deliver_through_one_entry(false, plan, feats);
+  const EntryOutcome binary = deliver_through_one_entry(true, plan, feats);
+  EXPECT_EQ(tensor.stored.size(), feats.size());
+  EXPECT_EQ(tensor.stored, binary.stored);  // float ==: byte-equal, no NaNs
+  EXPECT_EQ(tensor.corrupted_writes, binary.corrupted_writes);
+  EXPECT_EQ(tensor.indication_bytes, binary.indication_bytes);
+  EXPECT_EQ(tensor.dispatches, binary.dispatches);
+  return binary;
+}
+
+const std::vector<float> kEntryFeatures{0.5f, 1.5f, 2.5f, 3.5f};
+
+TEST(RicDelivery, CorruptSdlWriteActsTheSameThroughBothEntries) {
+  const EntryOutcome out = expect_entries_agree(
+      "seed 11\nsite sdl.write corrupt p=1\n", kEntryFeatures);
+  EXPECT_EQ(out.corrupted_writes, 1u);
+  EXPECT_EQ(out.dispatches, 1);
+  EXPECT_NE(out.stored, kEntryFeatures)
+      << "an injected sdl.write corrupt must perturb the stored entry";
+}
+
+TEST(RicDelivery, DuplicatedIndicationActsTheSameThroughBothEntries) {
+  const EntryOutcome out = expect_entries_agree(
+      "seed 11\nsite e2.indication duplicate p=1\n", kEntryFeatures);
+  EXPECT_EQ(out.dispatches, 2);
+  EXPECT_EQ(out.indication_bytes, 2 * kEntryFeatures.size() * sizeof(float));
+  EXPECT_EQ(out.stored, kEntryFeatures);
 }
 
 }  // namespace
