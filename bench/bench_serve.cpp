@@ -41,9 +41,15 @@
 //        --max-defense-overhead-pct P  --report-out FILE
 //        --digests-out FILE   (plus the common --threads / --metrics-out /
 //        --trace-out / --flight-dir / --fault-plan flags).
-// Each phase is timed best-of-P passes (default 3): the regions are only a
-// few milliseconds long, and best-of strips scheduler noise symmetrically
-// from the reference and served measurements.
+// Each phase is timed over P passes (default 3) and reports its best pass:
+// the regions are only a few milliseconds long. The three throughput gates
+// (--min-speedup, --min-cnn-speedup, --max-obs-overhead-pct) are
+// noise-aware over the passes' spread: `pass` when the served worst pass
+// clears the gate against the reference's best pass, `fail` (a failed
+// run) when the served best pass misses it against the reference's worst
+// pass, otherwise `inconclusive` — the passes overlap, and one noisy pass
+// must not decide the verdict either way. Each verdict is written to the
+// JSON report with the best and worst rps it was decided from.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -201,8 +207,9 @@ std::string digest_of(const std::vector<int>& preds) {
 
 struct ServedRun {
   int threads = 0;
-  double wall_seconds = 0.0;
-  double throughput_rps = 0.0;
+  double wall_seconds = 0.0;    // best pass
+  double throughput_rps = 0.0;  // best pass
+  double worst_rps = 0.0;
   std::string digest;
   serve::SloSnapshot slo;
 };
@@ -233,6 +240,7 @@ ServedRun run_served(const nn::Model& model, const Flags& f, int threads,
   ServedRun run;
   run.threads = threads;
   run.wall_seconds = 1e30;
+  double worst_seconds = 0.0;
   serve::SloSnapshot slo;
   for (int pass = 0; pass < std::max(f.passes, 1); ++pass) {
     // Fresh engine per pass so SLO accounting covers exactly one pass;
@@ -249,14 +257,62 @@ ServedRun run_served(const nn::Model& model, const Flags& f, int threads,
                  });
     }
     eng.drain();
-    run.wall_seconds = std::min(run.wall_seconds, timer.seconds());
+    const double wall = timer.seconds();
+    run.wall_seconds = std::min(run.wall_seconds, wall);
+    worst_seconds = std::max(worst_seconds, wall);
     slo = eng.slo();
   }
   run.throughput_rps =
       static_cast<double>(inputs.size()) / std::max(run.wall_seconds, 1e-12);
+  run.worst_rps =
+      static_cast<double>(inputs.size()) / std::max(worst_seconds, 1e-12);
   run.digest = digest_of(preds);
   run.slo = slo;
   return run;
+}
+
+/// Noise-aware verdict on a throughput ratio served/reference that must
+/// reach `gate` (see the header); a gate <= 0 is off.
+struct GateVerdict {
+  const char* verdict = "off";
+  double served_best_rps = 0.0, served_worst_rps = 0.0;
+  double ref_best_rps = 0.0, ref_worst_rps = 0.0;
+  bool ok() const { return std::strcmp(verdict, "fail") != 0; }
+};
+
+GateVerdict ratio_gate(double served_best, double served_worst,
+                       double ref_best, double ref_worst, double gate) {
+  GateVerdict v{"off", served_best, served_worst, ref_best, ref_worst};
+  if (gate <= 0.0) return v;
+  if (served_worst >= gate * ref_best) {
+    v.verdict = "pass";
+  } else if (served_best < gate * ref_worst) {
+    v.verdict = "fail";
+  } else {
+    v.verdict = "inconclusive";
+  }
+  return v;
+}
+
+/// The served side of a speedup gate: the best run over thread counts.
+GateVerdict speedup_gate(const std::vector<ServedRun>& served,
+                         double ref_best, double ref_worst, double gate) {
+  double best = 0.0, worst = 0.0;
+  for (const ServedRun& r : served) {
+    best = std::max(best, r.throughput_rps);
+    worst = std::max(worst, r.worst_rps);
+  }
+  return ratio_gate(best, worst, ref_best, ref_worst, gate);
+}
+
+void print_gate(std::FILE* fp, const char* key, const GateVerdict& g,
+                const char* suffix) {
+  std::fprintf(fp,
+               "\"%s\": {\"verdict\": \"%s\", \"served_best_rps\": %.1f, "
+               "\"served_worst_rps\": %.1f, \"ref_best_rps\": %.1f, "
+               "\"ref_worst_rps\": %.1f}%s",
+               key, g.verdict, g.served_best_rps, g.served_worst_rps,
+               g.ref_best_rps, g.ref_worst_rps, suffix);
 }
 
 }  // namespace
@@ -278,14 +334,18 @@ int main(int argc, char** argv) {
   // ---- unbatched reference: the historical per-indication path ---------
   util::set_num_threads(1);
   std::vector<int> reference(inputs.size(), -1);
-  double ref_seconds = 1e30;
+  double ref_seconds = 1e30, ref_worst_seconds = 0.0;
   for (int pass = 0; pass < std::max(f.passes, 1); ++pass) {
     WallTimer ref_timer;
     for (std::size_t i = 0; i < inputs.size(); ++i)
       reference[i] = victim.predict_one(inputs[i]);
-    ref_seconds = std::min(ref_seconds, ref_timer.seconds());
+    const double wall = ref_timer.seconds();
+    ref_seconds = std::min(ref_seconds, wall);
+    ref_worst_seconds = std::max(ref_worst_seconds, wall);
   }
   const double ref_rps = static_cast<double>(n) / std::max(ref_seconds, 1e-12);
+  const double ref_worst_rps =
+      static_cast<double>(n) / std::max(ref_worst_seconds, 1e-12);
   const std::string ref_digest = digest_of(reference);
   std::printf("[unbatched] %d requests in %.4fs  (%.0f req/s)\n", n,
               ref_seconds, ref_rps);
@@ -336,15 +396,19 @@ int main(int argc, char** argv) {
   const std::vector<nn::Tensor> cnn_inputs = cnn_fleet_inputs(f);
   util::set_num_threads(1);
   std::vector<int> cnn_reference(cnn_inputs.size(), -1);
-  double cnn_ref_seconds = 1e30;
+  double cnn_ref_seconds = 1e30, cnn_ref_worst_seconds = 0.0;
   for (int pass_i = 0; pass_i < std::max(f.passes, 1); ++pass_i) {
     WallTimer t;
     for (std::size_t i = 0; i < cnn_inputs.size(); ++i)
       cnn_reference[i] = cnn.predict_one(cnn_inputs[i]);
-    cnn_ref_seconds = std::min(cnn_ref_seconds, t.seconds());
+    const double wall = t.seconds();
+    cnn_ref_seconds = std::min(cnn_ref_seconds, wall);
+    cnn_ref_worst_seconds = std::max(cnn_ref_worst_seconds, wall);
   }
   const double cnn_ref_rps =
       static_cast<double>(n) / std::max(cnn_ref_seconds, 1e-12);
+  const double cnn_ref_worst_rps =
+      static_cast<double>(n) / std::max(cnn_ref_worst_seconds, 1e-12);
   const std::string cnn_ref_digest = digest_of(cnn_reference);
   std::printf("[cnn walk] %d requests in %.4fs  (%.0f req/s)\n", n,
               cnn_ref_seconds, cnn_ref_rps);
@@ -384,13 +448,18 @@ int main(int argc, char** argv) {
       std::max(obs_off.throughput_rps, 1e-12) * 100.0;
   const bool obs_digest_ok =
       obs_off.digest == ref_digest && obs_on.digest == ref_digest;
-  const bool obs_gate_ok =
-      obs_digest_ok && (f.max_obs_overhead_pct <= 0.0 ||
-                        obs_overhead_pct <= f.max_obs_overhead_pct);
+  // overhead <= P%  <=>  on/off >= 1 - P/100: the same ratio gate, with
+  // the traced run as the served side and the untraced run as reference.
+  const GateVerdict obs_gate = ratio_gate(
+      obs_on.throughput_rps, obs_on.worst_rps, obs_off.throughput_rps,
+      obs_off.worst_rps,
+      f.max_obs_overhead_pct <= 0.0 ? 0.0
+                                    : 1.0 - f.max_obs_overhead_pct / 100.0);
+  const bool obs_gate_ok = obs_digest_ok && obs_gate.ok();
   std::printf("[obs overhead] off=%.0f req/s  on=%.0f req/s  "
-              "overhead=%.2f%% (gate %.2f%%)  spans=%llu  digests %s\n",
+              "overhead=%.2f%% (gate %.2f%%: %s)  spans=%llu  digests %s\n",
               obs_off.throughput_rps, obs_on.throughput_rps,
-              obs_overhead_pct, f.max_obs_overhead_pct,
+              obs_overhead_pct, f.max_obs_overhead_pct, obs_gate.verdict,
               static_cast<unsigned long long>(causal_spans),
               obs_digest_ok ? "match" : "MISMATCH");
 
@@ -428,12 +497,13 @@ int main(int argc, char** argv) {
               defense_overhead_pct, f.max_defense_overhead_pct,
               defense_digest_ok ? "match" : "MISMATCH");
 
-  const bool speedup_ok = f.min_speedup <= 0.0 || speedup >= f.min_speedup;
-  const bool cnn_speedup_ok =
-      f.min_cnn_speedup <= 0.0 || cnn_speedup >= f.min_cnn_speedup;
-  const bool pass = byte_identical && clone_match && speedup_ok &&
-                    cnn_byte_identical && cnn_speedup_ok && obs_gate_ok &&
-                    defense_gate_ok;
+  const GateVerdict speedup_verdict =
+      speedup_gate(served, ref_rps, ref_worst_rps, f.min_speedup);
+  const GateVerdict cnn_speedup_verdict = speedup_gate(
+      cnn_served, cnn_ref_rps, cnn_ref_worst_rps, f.min_cnn_speedup);
+  const bool pass = byte_identical && clone_match && speedup_verdict.ok() &&
+                    cnn_byte_identical && cnn_speedup_verdict.ok() &&
+                    obs_gate_ok && defense_gate_ok;
 
   // ---- JSON report ------------------------------------------------------
   {
@@ -515,19 +585,21 @@ int main(int argc, char** argv) {
     }
     std::fprintf(fp,
                  "    ],\n    \"byte_identical\": %s, \"speedup\": %.2f, "
-                 "\"min_cnn_speedup\": %.2f},\n",
+                 "\"min_cnn_speedup\": %.2f, ",
                  cnn_byte_identical ? "true" : "false", cnn_speedup,
                  f.min_cnn_speedup);
+    print_gate(fp, "gate", cnn_speedup_verdict, "},\n");
     std::fprintf(fp,
                  "  \"obs\": {\"off_rps\": %.1f, \"on_rps\": %.1f, "
                  "\"overhead_pct\": %.2f, \"max_obs_overhead_pct\": %.2f, "
                  "\"digests_match\": %s, \"causal_spans\": %llu, "
-                 "\"gate_ok\": %s},\n",
+                 "\"gate_ok\": %s, ",
                  obs_off.throughput_rps, obs_on.throughput_rps,
                  obs_overhead_pct, f.max_obs_overhead_pct,
                  obs_digest_ok ? "true" : "false",
                  static_cast<unsigned long long>(causal_spans),
                  obs_gate_ok ? "true" : "false");
+    print_gate(fp, "gate", obs_gate, "},\n");
     std::fprintf(fp,
                  "  \"defense\": {\"p99_off_us\": %llu, \"p99_on_us\": %llu, "
                  "\"overhead_pct\": %.2f, \"max_defense_overhead_pct\": "
@@ -541,9 +613,10 @@ int main(int argc, char** argv) {
                  defense_gate_ok ? "true" : "false");
     std::fprintf(fp,
                  "  \"byte_identical\": %s,\n  \"speedup\": %.2f,\n"
-                 "  \"min_speedup\": %.2f,\n  \"pass\": %s\n}\n",
-                 byte_identical ? "true" : "false", speedup, f.min_speedup,
-                 pass ? "true" : "false");
+                 "  \"min_speedup\": %.2f,\n  ",
+                 byte_identical ? "true" : "false", speedup, f.min_speedup);
+    print_gate(fp, "speedup_gate", speedup_verdict, ",\n");
+    std::fprintf(fp, "  \"pass\": %s\n}\n", pass ? "true" : "false");
     std::fclose(fp);
     std::printf("[report] wrote %s\n", f.report_out.c_str());
   }
@@ -572,16 +645,17 @@ int main(int argc, char** argv) {
   }
 
   print_rule();
-  std::printf("byte_identical=%s  speedup=%.2fx (gate %.2fx)  "
+  std::printf("byte_identical=%s  speedup=%.2fx (gate %.2fx: %s)  "
               "clone_labels_match=%s\n",
               byte_identical ? "true" : "false", speedup, f.min_speedup,
-              clone_match ? "true" : "false");
-  std::printf("cnn_byte_identical=%s  cnn_speedup=%.2fx (gate %.2fx)  "
+              speedup_verdict.verdict, clone_match ? "true" : "false");
+  std::printf("cnn_byte_identical=%s  cnn_speedup=%.2fx (gate %.2fx: %s)  "
               "obs_overhead=%.2f%% (%s)  "
               "defense_overhead=%.2f%% (%s)  ->  %s\n",
               cnn_byte_identical ? "true" : "false", cnn_speedup,
-              f.min_cnn_speedup, obs_overhead_pct,
-              obs_gate_ok ? "ok" : "GATE FAIL", defense_overhead_pct,
+              f.min_cnn_speedup, cnn_speedup_verdict.verdict,
+              obs_overhead_pct, obs_gate_ok ? "ok" : "GATE FAIL",
+              defense_overhead_pct,
               defense_gate_ok ? "ok" : "GATE FAIL",
               pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;

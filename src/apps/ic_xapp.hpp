@@ -14,10 +14,10 @@
 // stops calling Model::forward per indication and instead *moves* the
 // telemetry tensor into a serve request; the decision publish and the E2
 // control are issued from the completion callback when the engine's
-// micro-batch flushes. Both variants ride the engine's compiled plans —
-// the KPM DNN through CompiledMlp, the spectrogram BaseCNN through the
-// conv-chain CompiledCnn — so served decisions stay byte-identical to the
-// layer walk. Requests the engine sheds without a prediction take the
+// micro-batch flushes. Both variants ride the engine's one plan compiler,
+// serve::CompiledPlan — the KPM DNN's Dense/ReLU stack and the
+// spectrogram BaseCNN's conv chain alike — so served decisions stay
+// byte-identical to the layer walk. Requests the engine sheds without a prediction take the
 // fail-safe action (adaptive MCS). Without an engine the historical
 // synchronous path is byte-identical to before.
 //

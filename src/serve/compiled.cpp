@@ -1,11 +1,14 @@
 #include "serve/compiled.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "nn/blocks.hpp"
 #include "nn/layers.hpp"
 #include "serve/kernels.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 
 namespace orev::serve {
 
@@ -22,81 +25,495 @@ const char* compile_error_name(CompileError e) {
   return "unknown";
 }
 
-std::optional<CompiledMlp> CompiledMlp::compile(nn::Model& model) {
-  auto* seq = dynamic_cast<nn::Sequential*>(&model.root());
-  if (seq == nullptr) return std::nullopt;
-  if (model.input_shape().size() != 1) return std::nullopt;
+namespace {
 
-  CompiledMlp plan;
-  plan.in0_ = model.input_shape()[0];
-  plan.classes_ = model.num_classes();
-  int width = plan.in0_;
-  for (std::size_t i = 0; i < seq->size(); ++i) {
-    nn::Layer& l = seq->layer(i);
-    if (auto* d = dynamic_cast<nn::Dense*>(&l)) {
-      if (d->in_features() != width) return std::nullopt;
-      const std::vector<nn::Param*> ps = d->params();
-      Stage s;
-      s.in = d->in_features();
-      s.out = d->out_features();
-      const nn::Tensor& w = ps[0]->value;  // [out, in] row-major
-      s.bt.resize(static_cast<std::size_t>(s.in) * s.out);
-      for (int o = 0; o < s.out; ++o)
-        for (int kk = 0; kk < s.in; ++kk)
-          s.bt[static_cast<std::size_t>(kk) * s.out + o] = static_cast<double>(
-              w.raw()[static_cast<std::size_t>(o) * s.in + kk]);
-      if (ps.size() == 2) {
+CompiledPlan::CompileResult fail(CompileError code, std::string detail) {
+  CompiledPlan::CompileResult r;
+  r.failure.code = code;
+  r.failure.detail = std::move(detail);
+  return r;
+}
+
+bool all_finite(const float* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    if (!std::isfinite(p[i])) return false;
+  return true;
+}
+
+/// Snapshot a BatchNorm's inference-time affine parameters into a stage,
+/// computing invstd exactly as the walk does: 1.0f / sqrt(var + eps).
+bool snapshot_bn(nn::BatchNorm& bn, PlanStage& s) {
+  const int ch = bn.channels();
+  const std::vector<nn::Param*> ps = bn.params();  // {gamma, beta}
+  s.bn_gamma.assign(ps[0]->value.raw(), ps[0]->value.raw() + ch);
+  s.bn_beta.assign(ps[1]->value.raw(), ps[1]->value.raw() + ch);
+  s.bn_mean.assign(bn.running_mean().raw(), bn.running_mean().raw() + ch);
+  s.bn_invstd.resize(static_cast<std::size_t>(ch));
+  for (int c = 0; c < ch; ++c) {
+    s.bn_invstd[static_cast<std::size_t>(c)] =
+        1.0f / std::sqrt(bn.running_var().raw()[c] + bn.eps());
+  }
+  return all_finite(s.bn_invstd.data(), s.bn_invstd.size()) &&
+         all_finite(s.bn_mean.data(), s.bn_mean.size()) &&
+         all_finite(s.bn_gamma.data(), s.bn_gamma.size()) &&
+         all_finite(s.bn_beta.data(), s.bn_beta.size());
+}
+
+/// The fused per-element epilogue, in the walk's exact op order: the
+/// GEMM/accumulator value first takes the stage's own bias (already done
+/// by the caller), then BatchNorm's (v − mean)·invstd·γ + β, then ReLU.
+inline float epilogue_bn_relu(const PlanStage& s, int c, float v) {
+  if (s.bn) {
+    const float xh = (v - s.bn_mean[static_cast<std::size_t>(c)]) *
+                     s.bn_invstd[static_cast<std::size_t>(c)];
+    v = s.bn_gamma[static_cast<std::size_t>(c)] * xh +
+        s.bn_beta[static_cast<std::size_t>(c)];
+  }
+  if (s.relu) v = std::max(v, 0.0f);
+  return v;
+}
+
+/// Standalone pool / BatchNorm / ReLU stages over one sample, each with
+/// the exact op order of the layer walk.
+void run_pool_stage(const PlanStage& s, const float* in, float* out) {
+  const int ihw = s.in_h * s.in_w;
+  const int ohw = s.out_h * s.out_w;
+  for (int c = 0; c < s.in_c; ++c) {
+    const float* plane = in + static_cast<std::size_t>(c) * ihw;
+    float* oplane = out + static_cast<std::size_t>(c) * ohw;
+    for (int oy = 0; oy < s.out_h; ++oy) {
+      for (int ox = 0; ox < s.out_w; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        for (int ky = 0; ky < s.k; ++ky) {
+          const int iy = oy * s.stride + ky;
+          for (int kx = 0; kx < s.k; ++kx) {
+            const int ix = ox * s.stride + kx;
+            const float v = plane[static_cast<std::size_t>(iy) * s.in_w + ix];
+            if (v > best) best = v;
+          }
+        }
+        if (s.relu) best = std::max(best, 0.0f);
+        oplane[static_cast<std::size_t>(oy) * s.out_w + ox] = best;
+      }
+    }
+  }
+}
+
+void run_bn_stage(const PlanStage& s, const float* in, float* out) {
+  const int sp = s.in_h * s.in_w;  // 1 for flat features
+  for (int c = 0; c < s.in_c; ++c) {
+    const float* ip = in + static_cast<std::size_t>(c) * sp;
+    float* op = out + static_cast<std::size_t>(c) * sp;
+    for (int p = 0; p < sp; ++p) {
+      const float xh = (ip[p] - s.bn_mean[static_cast<std::size_t>(c)]) *
+                       s.bn_invstd[static_cast<std::size_t>(c)];
+      float v = s.bn_gamma[static_cast<std::size_t>(c)] * xh +
+                s.bn_beta[static_cast<std::size_t>(c)];
+      if (s.relu) v = std::max(v, 0.0f);
+      op[p] = v;
+    }
+  }
+}
+
+/// Run one stage over `n` consecutive samples packed row-major. n > 1 only
+/// for flat plans, whose stages are all Dense / BatchNorm / ReLU; the
+/// spatial stages always run one sample at a time.
+void run_stage(const PlanStage& s, const float* cur, float* dst, float* cols,
+               int n) {
+  switch (s.kind) {
+    case PlanStage::Kind::kConv: {
+      const int patch = s.in_c * s.k * s.k;
+      const int ohw = s.out_h * s.out_w;
+      // Transposed im2col + pixel-vectorized GEMM writing each channel
+      // plane of dst directly — bias/BN/ReLU fused in the kernel with
+      // the walk's exact per-element op order.
+      kernels::im2col_f32_t(cur, s.in_c, s.in_h, s.in_w, s.k, s.stride,
+                            s.pad, s.out_h, s.out_w, cols);
+      kernels::conv_stage(cols, s.bt.data(), s.bias.data(),
+                          s.bn ? s.bn_mean.data() : nullptr,
+                          s.bn ? s.bn_invstd.data() : nullptr,
+                          s.bn ? s.bn_gamma.data() : nullptr,
+                          s.bn ? s.bn_beta.data() : nullptr, s.relu, dst,
+                          ohw, patch, s.out_c);
+      break;
+    }
+    case PlanStage::Kind::kDepthwise: {
+      const int ihw = s.in_h * s.in_w;
+      const int ohw = s.out_h * s.out_w;
+      for (int cc = 0; cc < s.in_c; ++cc) {
+        const float* plane = cur + static_cast<std::size_t>(cc) * ihw;
+        const float* kern =
+            s.weight.data() + static_cast<std::size_t>(cc) * s.k * s.k;
+        float* oplane = dst + static_cast<std::size_t>(cc) * ohw;
+        for (int oy = 0; oy < s.out_h; ++oy) {
+          for (int ox = 0; ox < s.out_w; ++ox) {
+            // Float accumulator seeded with the bias and implicit
+            // (skipped) zero padding — the walk's exact op order.
+            float acc = s.bias[static_cast<std::size_t>(cc)];
+            for (int ky = 0; ky < s.k; ++ky) {
+              const int iy = oy * s.stride - s.pad + ky;
+              if (iy < 0 || iy >= s.in_h) continue;
+              for (int kx = 0; kx < s.k; ++kx) {
+                const int ix = ox * s.stride - s.pad + kx;
+                if (ix < 0 || ix >= s.in_w) continue;
+                acc += kern[ky * s.k + kx] *
+                       plane[static_cast<std::size_t>(iy) * s.in_w + ix];
+              }
+            }
+            oplane[static_cast<std::size_t>(oy) * s.out_w + ox] =
+                epilogue_bn_relu(s, cc, acc);
+          }
+        }
+      }
+      break;
+    }
+    case PlanStage::Kind::kDense: {
+      // The kernel fuses the bias add and, without a BatchNorm, the ReLU;
+      // a fused BatchNorm (and the ReLU after it) runs in place after.
+      kernels::dense_stage(cur, s.bt.data(),
+                           s.has_bias ? s.bias.data() : nullptr,
+                           s.relu && !s.bn, dst, n, s.in_c, s.out_c);
+      if (s.bn) {
+        for (int r = 0; r < n; ++r) {
+          float* row = dst + static_cast<std::size_t>(r) * s.out_c;
+          for (int j = 0; j < s.out_c; ++j)
+            row[j] = epilogue_bn_relu(s, j, row[j]);
+        }
+      }
+      break;
+    }
+    case PlanStage::Kind::kPool:
+      run_pool_stage(s, cur, dst);
+      break;
+    case PlanStage::Kind::kBatchNorm:
+      for (int r = 0; r < n; ++r)
+        run_bn_stage(s, cur + static_cast<std::size_t>(r) * s.in_elems(),
+                     dst + static_cast<std::size_t>(r) * s.out_elems());
+      break;
+    case PlanStage::Kind::kRelu:
+      for (std::size_t e = 0; e < n * s.in_elems(); ++e)
+        dst[e] = std::max(cur[e], 0.0f);
+      break;
+  }
+}
+
+}  // namespace
+
+CompiledPlan::CompileResult CompiledPlan::compile(nn::Model& model) {
+  if (!model.inference_only())
+    return fail(CompileError::kNotInferenceMode,
+                "model must be inference-locked before compilation "
+                "(BatchNorm running stats are snapshotted)");
+  auto* seq = dynamic_cast<nn::Sequential*>(&model.root());
+  if (seq == nullptr)
+    return fail(CompileError::kNonSequentialRoot,
+                "root layer is " + model.root().name() +
+                    ", not a flat Sequential");
+
+  const nn::Shape& in_shape = model.input_shape();
+  bool flat = false;
+  int c = 0, h = 1, w = 1;
+  if (in_shape.size() == 3) {
+    c = in_shape[0];
+    h = in_shape[1];
+    w = in_shape[2];
+  } else if (in_shape.size() == 1) {
+    flat = true;
+    c = in_shape[0];
+  } else {
+    return fail(CompileError::kBadDims,
+                "input must be [C, H, W] or [F], got rank " +
+                    std::to_string(in_shape.size()));
+  }
+  if (c <= 0 || h <= 0 || w <= 0)
+    return fail(CompileError::kBadDims, "input has a non-positive extent");
+
+  auto plan = std::unique_ptr<CompiledPlan>(new CompiledPlan());
+  plan->in0_ = c * h * w;
+  plan->classes_ = model.num_classes();
+  plan->flat_input_ = flat;
+  std::vector<PlanStage>& stages = plan->stages_;
+
+  auto last_gemm_no_epilogue = [&]() -> PlanStage* {
+    if (stages.empty()) return nullptr;
+    PlanStage& s = stages.back();
+    return (s.is_gemm() && !s.bn && !s.relu) ? &s : nullptr;
+  };
+
+  for (std::size_t li = 0; li < seq->size(); ++li) {
+    nn::Layer& l = seq->layer(li);
+    if (auto* conv = dynamic_cast<nn::Conv2D*>(&l)) {
+      if (flat)
+        return fail(CompileError::kShapeMismatch,
+                    "Conv2D after the input was flattened");
+      if (conv->in_channels() != c)
+        return fail(CompileError::kShapeMismatch,
+                    "Conv2D expects " + std::to_string(conv->in_channels()) +
+                        " channels, pipeline carries " + std::to_string(c));
+      const int oh = conv->out_height(h), ow = conv->out_width(w);
+      if (oh <= 0 || ow <= 0)
+        return fail(CompileError::kBadDims,
+                    "Conv2D output collapses to zero size");
+      PlanStage s;
+      s.kind = PlanStage::Kind::kConv;
+      s.in_c = c;
+      s.in_h = h;
+      s.in_w = w;
+      s.out_c = conv->out_channels();
+      s.out_h = oh;
+      s.out_w = ow;
+      s.k = conv->kernel();
+      s.stride = conv->stride();
+      s.pad = conv->padding();
+      const std::vector<nn::Param*> ps = conv->params();
+      const nn::Tensor& wt = ps[0]->value;  // [out_c, patch]
+      // conv_stage reads the filter bank in its natural [out_c, patch]
+      // layout (pixel lanes, not column tiles) — widen in place.
+      s.bt.resize(wt.numel());
+      for (std::size_t e = 0; e < wt.numel(); ++e)
+        s.bt[e] = static_cast<double>(wt.raw()[e]);
+      // The walk adds the bias term unconditionally (0.0f when bias-less).
+      s.bias.assign(static_cast<std::size_t>(s.out_c), 0.0f);
+      if (conv->has_bias()) {
         const nn::Tensor& b = ps[1]->value;
         s.bias.assign(b.raw(), b.raw() + b.numel());
       }
-      width = s.out;
-      plan.stages_.push_back(std::move(s));
+      c = s.out_c;
+      h = oh;
+      w = ow;
+      stages.push_back(std::move(s));
+    } else if (auto* dw = dynamic_cast<nn::DepthwiseConv2D*>(&l)) {
+      if (flat)
+        return fail(CompileError::kShapeMismatch,
+                    "DepthwiseConv2D after the input was flattened");
+      if (dw->channels() != c)
+        return fail(CompileError::kShapeMismatch,
+                    "DepthwiseConv2D channel mismatch");
+      const int oh = (h + 2 * dw->padding() - dw->kernel()) / dw->stride() + 1;
+      const int ow = (w + 2 * dw->padding() - dw->kernel()) / dw->stride() + 1;
+      if (oh <= 0 || ow <= 0)
+        return fail(CompileError::kBadDims,
+                    "DepthwiseConv2D output collapses to zero size");
+      PlanStage s;
+      s.kind = PlanStage::Kind::kDepthwise;
+      s.in_c = c;
+      s.in_h = h;
+      s.in_w = w;
+      s.out_c = c;
+      s.out_h = oh;
+      s.out_w = ow;
+      s.k = dw->kernel();
+      s.stride = dw->stride();
+      s.pad = dw->padding();
+      const std::vector<nn::Param*> ps = dw->params();  // {weight, bias}
+      s.weight.assign(ps[0]->value.raw(),
+                      ps[0]->value.raw() + ps[0]->value.numel());
+      s.bias.assign(ps[1]->value.raw(),
+                    ps[1]->value.raw() + ps[1]->value.numel());
+      h = oh;
+      w = ow;
+      stages.push_back(std::move(s));
+    } else if (auto* pool = dynamic_cast<nn::MaxPool2D*>(&l)) {
+      if (flat)
+        return fail(CompileError::kShapeMismatch,
+                    "MaxPool2D after the input was flattened");
+      const int oh = (h - pool->kernel()) / pool->stride() + 1;
+      const int ow = (w - pool->kernel()) / pool->stride() + 1;
+      if (oh <= 0 || ow <= 0 || pool->kernel() > h || pool->kernel() > w)
+        return fail(CompileError::kBadDims,
+                    "MaxPool2D output collapses to zero size");
+      PlanStage s;
+      s.kind = PlanStage::Kind::kPool;
+      s.in_c = c;
+      s.in_h = h;
+      s.in_w = w;
+      s.out_c = c;
+      s.out_h = oh;
+      s.out_w = ow;
+      s.k = pool->kernel();
+      s.stride = pool->stride();
+      h = oh;
+      w = ow;
+      stages.push_back(std::move(s));
+    } else if (auto* bn = dynamic_cast<nn::BatchNorm*>(&l)) {
+      if (bn->channels() != c)
+        return fail(CompileError::kShapeMismatch, "BatchNorm channel mismatch");
+      if (PlanStage* host = last_gemm_no_epilogue()) {
+        if (!snapshot_bn(*bn, *host))
+          return fail(CompileError::kNonFiniteStats,
+                      "BatchNorm running stats produce non-finite scales");
+        host->bn = true;
+      } else {
+        PlanStage s;
+        s.kind = PlanStage::Kind::kBatchNorm;
+        s.in_c = c;
+        s.in_h = flat ? 1 : h;
+        s.in_w = flat ? 1 : w;
+        s.out_c = c;
+        s.out_h = s.in_h;
+        s.out_w = s.in_w;
+        if (!snapshot_bn(*bn, s))
+          return fail(CompileError::kNonFiniteStats,
+                      "BatchNorm running stats produce non-finite scales");
+        s.bn = true;
+        stages.push_back(std::move(s));
+      }
     } else if (dynamic_cast<nn::ReLU*>(&l) != nullptr) {
-      if (plan.stages_.empty() || plan.stages_.back().relu)
-        return std::nullopt;
-      plan.stages_.back().relu = true;
+      if (!stages.empty() && !stages.back().relu) {
+        stages.back().relu = true;
+      } else {
+        PlanStage s;
+        s.kind = PlanStage::Kind::kRelu;
+        s.in_c = c;
+        s.in_h = flat ? 1 : h;
+        s.in_w = flat ? 1 : w;
+        s.out_c = c;
+        s.out_h = s.in_h;
+        s.out_w = s.in_w;
+        s.relu = true;
+        stages.push_back(std::move(s));
+      }
+    } else if (dynamic_cast<nn::Flatten*>(&l) != nullptr) {
+      if (!flat) {
+        flat = true;
+        c = c * h * w;
+        h = 1;
+        w = 1;
+      }
+    } else if (dynamic_cast<nn::Dropout*>(&l) != nullptr) {
+      // Identity at inference.
+    } else if (auto* d = dynamic_cast<nn::Dense*>(&l)) {
+      if (!flat)
+        return fail(CompileError::kShapeMismatch,
+                    "Dense over a spatial tensor (missing Flatten)");
+      if (d->in_features() != c)
+        return fail(CompileError::kShapeMismatch,
+                    "Dense expects " + std::to_string(d->in_features()) +
+                        " features, pipeline carries " + std::to_string(c));
+      PlanStage s;
+      s.kind = PlanStage::Kind::kDense;
+      s.in_c = c;
+      s.out_c = d->out_features();
+      const std::vector<nn::Param*> ps = d->params();
+      const nn::Tensor& wt = ps[0]->value;  // [out, in]
+      s.bt.resize(static_cast<std::size_t>(s.in_c) * s.out_c);
+      for (int o = 0; o < s.out_c; ++o)
+        for (int kk = 0; kk < s.in_c; ++kk)
+          s.bt[static_cast<std::size_t>(kk) * s.out_c + o] =
+              static_cast<double>(
+                  wt.raw()[static_cast<std::size_t>(o) * s.in_c + kk]);
+      if (ps.size() == 2) {
+        s.has_bias = true;
+        const nn::Tensor& b = ps[1]->value;
+        s.bias.assign(b.raw(), b.raw() + b.numel());
+      }
+      c = s.out_c;
+      stages.push_back(std::move(s));
     } else {
-      return std::nullopt;
+      return fail(CompileError::kUnsupportedLayer,
+                  "unsupported layer " + l.name());
     }
   }
-  if (plan.stages_.empty() || width != plan.classes_) return std::nullopt;
-  return plan;
-}
 
-std::vector<int> CompiledMlp::predict(const nn::Tensor& batch) {
-  OREV_CHECK(batch.rank() == 2 && batch.dim(1) == in0_,
-             "CompiledMlp::predict expects [m, in_features]");
-  return predict_rows(batch.raw(), batch.dim(0));
-}
+  if (stages.empty())
+    return fail(CompileError::kBadDims, "model compiles to zero stages");
+  if (!flat || c != plan->classes_)
+    return fail(CompileError::kShapeMismatch,
+                "model does not end in " + std::to_string(plan->classes_) +
+                    " flat logits");
 
-std::vector<int> CompiledMlp::predict_rows(const float* rows, int m) {
-  int max_width = 0;
-  for (const Stage& s : stages_) max_width = std::max(max_width, s.out);
-  const std::size_t cap =
-      static_cast<std::size_t>(m) * static_cast<std::size_t>(max_width);
-  if (buf_a_.size() < cap) buf_a_.resize(cap);
-  if (buf_b_.size() < cap) buf_b_.resize(cap);
-
-  const float* cur = rows;
-  float* nxt = buf_a_.data();
-  for (const Stage& s : stages_) {
-    kernels::dense_stage(cur, s.bt.data(),
-                         s.bias.empty() ? nullptr : s.bias.data(), s.relu,
-                         nxt, m, s.in, s.out);
-    cur = nxt;
-    nxt = nxt == buf_a_.data() ? buf_b_.data() : buf_a_.data();
+  // Scratch capacities (per sample).
+  plan->max_elems_ = static_cast<std::size_t>(plan->in0_);
+  for (const PlanStage& s : stages) {
+    plan->max_elems_ = std::max(plan->max_elems_, s.out_elems());
+    if (s.kind == PlanStage::Kind::kConv) {
+      const std::size_t patch =
+          static_cast<std::size_t>(s.in_c) * s.k * s.k;
+      const std::size_t ohw = static_cast<std::size_t>(s.out_h) * s.out_w;
+      plan->cols_cap_ = std::max(plan->cols_cap_, ohw * patch);
+    }
   }
 
+  CompileResult r;
+  r.plan = std::move(plan);
+  return r;
+}
+
+void CompiledPlan::ensure_scratch(int m) {
+  const std::size_t mm = static_cast<std::size_t>(m);
+  if (buf_a_.size() < mm * max_elems_) buf_a_.resize(mm * max_elems_);
+  if (buf_b_.size() < mm * max_elems_) buf_b_.resize(mm * max_elems_);
+  if (cols_.size() < mm * cols_cap_) cols_.resize(mm * cols_cap_);
+  const std::size_t nl = mm * static_cast<std::size_t>(classes_);
+  if (logits_.size() < nl) logits_.resize(nl);
+}
+
+void CompiledPlan::run_batch(const float* rows, int m, float* logits_out) {
+  // Samples [i, i + n) through every stage, on sample i's scratch slices.
+  auto run_rows = [&](std::int64_t i, int n) {
+    float* a = buf_a_.data() + static_cast<std::size_t>(i) * max_elems_;
+    float* b = buf_b_.data() + static_cast<std::size_t>(i) * max_elems_;
+    float* cols = cols_.data() + static_cast<std::size_t>(i) * cols_cap_;
+    const float* cur = rows + static_cast<std::size_t>(i) * in0_;
+    for (std::size_t si = 0; si < stages_.size(); ++si) {
+      float* dst = si + 1 == stages_.size()
+                       ? logits_out + static_cast<std::size_t>(i) * classes_
+                       : (cur == a ? b : a);
+      run_stage(stages_[si], cur, dst, cols, n);
+      cur = dst;
+    }
+  };
+
+  // A flat plan runs batch-major on the calling thread: one GEMM per stage
+  // over all m rows reuses each packed weight tile across the rows, where
+  // per-sample GEMMs would reload it m times. The kernel is
+  // row-independent, so every element is computed exactly as in the
+  // per-sample path.
+  if (flat_input_) {
+    run_rows(0, m);
+    return;
+  }
+  // Sample-parallel with disjoint per-sample scratch slices: identical
+  // arithmetic per sample at every thread count.
+  util::parallel_for(0, m, 1, [&](std::int64_t i) { run_rows(i, 1); });
+}
+
+nn::Tensor CompiledPlan::logits_rows(const float* rows, int m) {
+  nn::Tensor out({m, classes_});
+  ensure_scratch(m);
+  run_batch(rows, m, out.raw());
+  return out;
+}
+
+nn::Tensor CompiledPlan::logits(const nn::Tensor& batch) {
+  OREV_CHECK(batch.rank() >= 2 &&
+                 batch.numel() ==
+                     static_cast<std::size_t>(batch.dim(0)) * in0_,
+             "CompiledPlan::logits expects [m, ...input_shape]");
+  return logits_rows(batch.raw(), batch.dim(0));
+}
+
+void CompiledPlan::predict_rows(const float* rows, int m, int* out) {
+  ensure_scratch(m);
+  run_batch(rows, m, logits_.data());
   // Argmax with the exact comparison order of nn::Model::predict: strict
   // greater-than with the first maximum winning.
-  std::vector<int> out(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i) {
-    const float* logits = cur + static_cast<std::size_t>(i) * classes_;
+    const float* row = logits_.data() + static_cast<std::size_t>(i) * classes_;
     int best = 0;
     for (int j = 1; j < classes_; ++j)
-      if (logits[j] > logits[best]) best = j;
-    out[static_cast<std::size_t>(i)] = best;
+      if (row[j] > row[best]) best = j;
+    out[i] = best;
   }
+}
+
+std::vector<int> CompiledPlan::predict(const nn::Tensor& batch) {
+  OREV_CHECK(batch.rank() >= 2 &&
+                 batch.numel() ==
+                     static_cast<std::size_t>(batch.dim(0)) * in0_,
+             "CompiledPlan::predict expects [m, ...input_shape]");
+  std::vector<int> out(static_cast<std::size_t>(batch.dim(0)));
+  predict_rows(batch.raw(), batch.dim(0), out.data());
   return out;
 }
 

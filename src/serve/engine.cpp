@@ -71,7 +71,7 @@ ServeEngine::ServeEngine(nn::Model model, ServeConfig cfg)
   // the batched path falls back to the generic layer walk otherwise.
   compiled_.reserve(replicas_.size());
   for (nn::Model& replica : replicas_)
-    compiled_.push_back(compile_plan(replica));
+    compiled_.push_back(CompiledPlan::compile(replica).plan);
   if (cfg_.defense.enable)
     defense_ = std::make_unique<DefensePlane>(cfg_.defense, cfg_.name);
 }
@@ -375,18 +375,6 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
     return;
   }
 
-  // Shard rows across the replica pool; each shard assembles its own
-  // [rows, ...input_shape] tensor directly from the queued requests.
-  // Shard boundaries depend only on (n, replicas); each shard is computed
-  // by its own replica and writes a disjoint prediction range, so the
-  // stream is bit-identical at every thread count.
-  const nn::Shape& sample_shape = replicas_.front().input_shape();
-  nn::Shape batch_shape;
-  batch_shape.push_back(n);
-  batch_shape.insert(batch_shape.end(), sample_shape.begin(),
-                     sample_shape.end());
-
-  std::vector<int> preds;
   const int nshards = std::min<int>(static_cast<int>(replicas_.size()), n);
 
   // Row → replica shard assignment is a pure function of (n, replicas):
@@ -412,48 +400,44 @@ void ServeEngine::execute_batch(std::vector<ServeRequest> batch,
           cost);
     }
   }
-  // A lone shard uses replica 0's compiled plan with rows staged into a
-  // flat reusable buffer, skipping batch-tensor assembly — this is the
-  // latency-critical path, and CompiledPlan::predict_rows accepts inputs
-  // of any rank as contiguous rows.
-  CompiledPlan* staged_plan =
-      nshards == 1 ? compiled_.front().get() : nullptr;
-  if (staged_plan != nullptr) {
-    const int f = staged_plan->input_features();
-    staging_.resize(static_cast<std::size_t>(n) * f);
-    for (int i = 0; i < n; ++i) {
-      const nn::Tensor& in = batch[static_cast<std::size_t>(i)].input;
-      OREV_CHECK(static_cast<int>(in.numel()) == f,
-                 "serve request input does not match the model's features");
-      std::copy(in.raw(), in.raw() + f,
-                staging_.data() + static_cast<std::size_t>(i) * f);
-    }
-    preds = staged_plan->predict_rows(staging_.data(), n);
-  } else if (nshards == 1) {
-    // Single shard without a compiled plan: run the layer walk on the
-    // calling thread without waking the pool.
-    nn::Tensor whole(batch_shape);
-    for (int i = 0; i < n; ++i)
-      whole.set_batch(i, batch[static_cast<std::size_t>(i)].input);
-    preds = replicas_.front().predict(whole);
-  } else {
-    preds.assign(static_cast<std::size_t>(n), -1);
-    util::parallel_for(0, nshards, 1, [&](std::int64_t s) {
-      const int lo = static_cast<int>(s) * rows_per_shard;
-      const int hi = std::min(n, lo + rows_per_shard);
-      if (lo >= hi) return;
-      nn::Shape shard_shape = batch_shape;
-      shard_shape[0] = hi - lo;
+
+  // One shard loop: each shard is computed by its own replica and writes a
+  // disjoint prediction range, so the stream is bit-identical at every
+  // thread count. A compiled shard stages its rows into its own slice of
+  // the reusable flat buffer; only a replica without a plan assembles a
+  // batch tensor for the layer walk. A lone shard runs inline on the
+  // calling thread (parallel_for never wakes the pool for one index).
+  const nn::Shape& sample_shape = replicas_.front().input_shape();
+  const std::size_t f = nn::shape_numel(sample_shape);
+  staging_.resize(static_cast<std::size_t>(n) * f);
+  std::vector<int> preds(static_cast<std::size_t>(n));
+  util::parallel_for(0, nshards, 1, [&](std::int64_t s) {
+    const int lo = static_cast<int>(s) * rows_per_shard;
+    const int hi = std::min(n, lo + rows_per_shard);
+    if (lo >= hi) return;
+    CompiledPlan* plan = compiled_[static_cast<std::size_t>(s)].get();
+    if (plan == nullptr) {
+      nn::Shape shard_shape{hi - lo};
+      shard_shape.insert(shard_shape.end(), sample_shape.begin(),
+                         sample_shape.end());
       nn::Tensor shard(shard_shape);
       for (int i = lo; i < hi; ++i)
         shard.set_batch(i - lo, batch[static_cast<std::size_t>(i)].input);
-      auto& plan = compiled_[static_cast<std::size_t>(s)];
       const std::vector<int> p =
-          plan ? plan->predict(shard)
-               : replicas_[static_cast<std::size_t>(s)].predict(shard);
+          replicas_[static_cast<std::size_t>(s)].predict(shard);
       std::copy(p.begin(), p.end(), preds.begin() + lo);
-    });
-  }
+      return;
+    }
+    float* rows = staging_.data() + static_cast<std::size_t>(lo) * f;
+    for (int i = lo; i < hi; ++i) {
+      const nn::Tensor& in = batch[static_cast<std::size_t>(i)].input;
+      OREV_CHECK(in.numel() == f,
+                 "serve request input does not match the model's features");
+      std::copy(in.raw(), in.raw() + f,
+                rows + static_cast<std::size_t>(i - lo) * f);
+    }
+    plan->predict_rows(rows, hi - lo, preds.data() + lo);
+  });
 
   const std::uint64_t batch_id = next_batch_id_++;
   slo_.on_batch(n);
@@ -484,7 +468,7 @@ void ServeEngine::install_model(const nn::Model& candidate) {
   compiled_.clear();
   compiled_.reserve(replicas_.size());
   for (nn::Model& replica : replicas_)
-    compiled_.push_back(compile_plan(replica));
+    compiled_.push_back(CompiledPlan::compile(replica).plan);
 }
 
 SwapGateReport ServeEngine::request_hot_swap(const nn::Model& candidate,

@@ -271,10 +271,11 @@ class ServeEngine {
 
   ServeConfig cfg_;
   std::vector<nn::Model> replicas_;
-  /// Per-replica compiled inference plan (compile_plan: CompiledMlp for
-  /// flat Dense/ReLU chains, CompiledCnn for conv chains) — bit-identical
-  /// to the layer walk and much faster; null when the architecture is
-  /// unsupported. One per replica because plans own mutable scratch.
+  /// Per-replica compiled inference plan (CompiledPlan::compile: the KPM
+  /// DNN's Dense/ReLU stack and the spectrogram CNN's conv chain alike) —
+  /// bit-identical to the layer walk and much faster; null on a typed
+  /// compile failure, when the shard runs the layer walk instead. One per
+  /// replica because plans own mutable scratch.
   std::vector<std::unique_ptr<CompiledPlan>> compiled_;
   /// Inline defense plane (null when disabled). Screening runs on the
   /// driving thread in row order — never inside the replica shards — so
@@ -289,7 +290,8 @@ class ServeEngine {
   SwapGateReport swap_report_;
   obs::Counter& m_swap_accepted_;
   obs::Counter& m_swap_rejected_;
-  /// Reusable flat row buffer for the single-shard compiled hot path.
+  /// Reusable flat [n, input_features] row buffer; each replica shard
+  /// stages its rows into its own disjoint slice before predict_rows.
   std::vector<float> staging_;
   std::vector<Rng> replica_rngs_;
   BoundedQueue queue_;

@@ -42,7 +42,7 @@ namespace orev {
 namespace {
 
 using serve::compile_error_name;
-using serve::CompiledCnn;
+using serve::CompiledPlan;
 using serve::CompileError;
 
 class ThreadGuard {
@@ -145,7 +145,7 @@ TEST(CompiledCnnDifferential, RandomArchitecturesByteIdenticalAtOneAndFourThread
   ThreadGuard guard;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     nn::Model m = random_cnn_model(seed);
-    CompiledCnn::CompileResult r = CompiledCnn::compile(m);
+    CompiledPlan::CompileResult r = CompiledPlan::compile(m);
     ASSERT_NE(r.plan, nullptr)
         << "seed " << seed << ": " << compile_error_name(r.failure.code)
         << " — " << r.failure.detail;
@@ -174,9 +174,8 @@ TEST(CompiledCnnDifferential, RandomArchitecturesByteIdenticalAtOneAndFourThread
 TEST(CompiledCnnDifferential, IcXappCnnMatchesWalkAtServingBatchSizes) {
   nn::Model m = apps::make_base_cnn({1, 16, 16}, 4, /*seed=*/29);
   m.set_inference_only(true);
-  CompiledCnn::CompileResult r = CompiledCnn::compile(m);
+  CompiledPlan::CompileResult r = CompiledPlan::compile(m);
   ASSERT_NE(r.plan, nullptr) << r.failure.detail;
-  EXPECT_STREQ(r.plan->kind(), "cnn");
   for (const int rows : {1, 3, 32}) {
     const nn::Tensor batch =
         random_batch(m, rows, 0x1c0de + static_cast<std::uint64_t>(rows),
@@ -209,7 +208,7 @@ TEST(CompiledCnnDifferential, HandBuiltDepthwiseBnChainExercisesEveryFusion) {
   m.init(rng);
   warm_and_lock(m, 0xf1f1);
 
-  CompiledCnn::CompileResult r = CompiledCnn::compile(m);
+  CompiledPlan::CompileResult r = CompiledPlan::compile(m);
   ASSERT_NE(r.plan, nullptr) << r.failure.detail;
 
   ThreadGuard guard;
@@ -226,8 +225,8 @@ TEST(CompiledCnnDifferential, HandBuiltDepthwiseBnChainExercisesEveryFusion) {
 // ------------------------------------------------- typed compile errors --
 
 void expect_failure(nn::Model& m, CompileError code) {
-  CompiledCnn::CompileResult r;
-  EXPECT_NO_THROW(r = CompiledCnn::compile(m));
+  CompiledPlan::CompileResult r;
+  EXPECT_NO_THROW(r = CompiledPlan::compile(m));
   EXPECT_EQ(r.plan, nullptr);
   EXPECT_EQ(r.failure.code, code)
       << "got " << compile_error_name(r.failure.code) << " — "
@@ -375,8 +374,8 @@ TEST(ServeCheckpoint, ConvDepthwiseBnStateRoundTripsByteExact) {
   EXPECT_EQ(std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)), 0)
       << "layer-walk logits drifted across the checkpoint round trip";
 
-  CompiledCnn::CompileResult ps = CompiledCnn::compile(saved);
-  CompiledCnn::CompileResult pl = CompiledCnn::compile(loaded);
+  CompiledPlan::CompileResult ps = CompiledPlan::compile(saved);
+  CompiledPlan::CompileResult pl = CompiledPlan::compile(loaded);
   ASSERT_NE(ps.plan, nullptr);
   ASSERT_NE(pl.plan, nullptr);
   EXPECT_EQ(tensor_digest(ps.plan->logits(batch)),
@@ -400,7 +399,7 @@ TEST(ServeCheckpoint, GoldenCnnCheckpointPredictionsAreLocked) {
       << "missing/incompatible golden checkpoint " << ckpt_path
       << " (regenerate with OREV_UPDATE_GOLDEN=1)";
   m.set_inference_only(true);
-  CompiledCnn::CompileResult r = CompiledCnn::compile(m);
+  CompiledPlan::CompileResult r = CompiledPlan::compile(m);
   ASSERT_NE(r.plan, nullptr) << r.failure.detail;
 
   const nn::Tensor batch = random_batch(m, 12, 0x601d2, 0.0f, 1.0f);

@@ -508,48 +508,89 @@ nn::Model odd_mlp() {
   return m;
 }
 
+/// Compile an inference-locked `m` with the engine's one plan compiler and
+/// check its predictions against the layer walk at 1 and 4 threads.
+void expect_plan_matches_walk(nn::Model& m, const nn::Tensor& batch) {
+  ThreadGuard guard;
+  m.set_inference_only(true);
+  serve::CompiledPlan::CompileResult r = serve::CompiledPlan::compile(m);
+  ASSERT_NE(r.plan, nullptr) << serve::compile_error_name(r.failure.code)
+                             << " — " << r.failure.detail;
+  const std::vector<int> walk = m.predict(batch);
+  for (const int threads : {1, 4}) {
+    util::set_num_threads(threads);
+    EXPECT_EQ(r.plan->predict(batch), walk)
+        << "threads=" << threads << " rows=" << batch.dim(0);
+  }
+}
+
 TEST(CompiledPlan, PredictionsMatchLayerWalkOnOddWidths) {
   nn::Model m = odd_mlp();
-  auto plan = serve::CompiledMlp::compile(m);
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->input_features(), 7);
-  EXPECT_EQ(plan->num_classes(), 5);
+  m.set_inference_only(true);
+  serve::CompiledPlan::CompileResult r = serve::CompiledPlan::compile(m);
+  ASSERT_NE(r.plan, nullptr) << r.failure.detail;
+  EXPECT_EQ(r.plan->input_features(), 7);
+  EXPECT_EQ(r.plan->num_classes(), 5);
   Rng rng(0x7e57);
   nn::Tensor batch({129, 7});  // odd row count too
   for (std::size_t i = 0; i < batch.numel(); ++i) batch[i] = rng.normal();
-  EXPECT_EQ(plan->predict(batch), m.predict(batch));
+  expect_plan_matches_walk(m, batch);
 }
 
 TEST(CompiledPlan, KpmDnnMatchesLayerWalkAtServingBatchSizes) {
   nn::Model m = kpm_model();
-  auto plan = serve::CompiledMlp::compile(m);
-  ASSERT_TRUE(plan.has_value());
   Rng rng(0x5eed);
   for (const int rows : {1, 3, 32}) {
     nn::Tensor batch({rows, 4});
     for (std::size_t i = 0; i < batch.numel(); ++i)
       batch[i] = rng.uniform(-2.0f, 2.0f);
-    EXPECT_EQ(plan->predict(batch), m.predict(batch)) << "rows=" << rows;
+    expect_plan_matches_walk(m, batch);
   }
 }
 
-TEST(CompiledPlan, RefusesNonMlpModelsSoTheEngineFallsBackToTheLayerWalk) {
+TEST(CompiledPlan, CompilesBatchNormDropoutModelAndMatchesTheLayerWalk) {
   nn::Model m = bn_dropout_model();
-  EXPECT_FALSE(serve::CompiledMlp::compile(m).has_value());
+  Rng rng(0xb4d0);
+  nn::Tensor batch({24, 4});
+  for (std::size_t i = 0; i < batch.numel(); ++i) batch[i] = rng.normal();
+  expect_plan_matches_walk(m, batch);
+}
+
+TEST(CompiledPlan, RefusedModelIsServedThroughTheLayerWalk) {
+  // DenseConcat is outside the compiler's layer set, so every replica of
+  // this engine runs the generic layer walk.
+  const nn::Shape shape{1, 8, 8};
+  nn::Model m = apps::make_mini_densenet(shape, 3, /*seed=*/41);
+  m.set_inference_only(true);
+  EXPECT_EQ(serve::CompiledPlan::compile(m).failure.code,
+            serve::CompileError::kUnsupportedLayer);
 
   // The engine must still serve such a model, byte-identical to its own
-  // unbatched reference path, through the generic layer walk.
-  ServeConfig cfg;
-  cfg.batch_max = 8;
-  ServeEngine eng(m.clone(), cfg);
-  const std::vector<nn::Tensor> inputs = kpm_inputs(24, 0x5117);
-  std::vector<int> reference;
-  reference.reserve(inputs.size());
-  for (const nn::Tensor& in : inputs) reference.push_back(eng.predict_sync(in));
-  const std::vector<ServeResult> served = run_workload(eng, inputs);
-  ASSERT_EQ(served.size(), reference.size());
-  for (std::size_t i = 0; i < served.size(); ++i)
-    EXPECT_EQ(served[i].prediction, reference[i]) << "request " << i;
+  // unbatched reference path, on one shard and across replica shards.
+  ThreadGuard guard;
+  Rng rng(0x5117);
+  std::vector<nn::Tensor> inputs;
+  for (int i = 0; i < 20; ++i)
+    inputs.push_back(nn::Tensor::uniform(shape, rng, 0.0f, 1.0f));
+  for (const int replicas : {1, 3}) {
+    for (const int threads : {1, 4}) {
+      util::set_num_threads(threads);
+      ServeConfig cfg;
+      cfg.batch_max = 8;
+      cfg.replicas = replicas;
+      ServeEngine eng(m.clone(), cfg);
+      std::vector<int> reference;
+      reference.reserve(inputs.size());
+      for (const nn::Tensor& in : inputs)
+        reference.push_back(eng.predict_sync(in));
+      const std::vector<ServeResult> served = run_workload(eng, inputs);
+      ASSERT_EQ(served.size(), reference.size());
+      for (std::size_t i = 0; i < served.size(); ++i)
+        EXPECT_EQ(served[i].prediction, reference[i])
+            << "replicas=" << replicas << " threads=" << threads
+            << " request " << i;
+    }
+  }
 }
 
 TEST(ServeEngine, CompletionsMustNotReenterTheEngine) {
