@@ -524,38 +524,15 @@ int main(int argc, char** argv) {
   std::string report_out = "bench_results/chaos_report.json";
   std::uint64_t iters = 4000;
   std::uint64_t periods = 120;
-  {
-    int w = 1;
-    for (int r = 1; r < argc; ++r) {
-      if (std::strcmp(argv[r], "--fault-plan") == 0 && r + 1 < argc) {
-        plan_file = argv[++r];
-      } else if (std::strcmp(argv[r], "--fault-seed") == 0 && r + 1 < argc) {
-        seed_str = argv[++r];
-      } else if (std::strcmp(argv[r], "--iters") == 0 && r + 1 < argc) {
-        iters = std::strtoull(argv[++r], nullptr, 0);
-      } else if (std::strcmp(argv[r], "--periods") == 0 && r + 1 < argc) {
-        periods = std::strtoull(argv[++r], nullptr, 0);
-      } else if (std::strcmp(argv[r], "--report-out") == 0 && r + 1 < argc) {
-        report_out = argv[++r];
-      } else {
-        argv[w++] = argv[r];
-      }
-    }
-    argc = w;
-  }
+  scan_flags(argc, argv,
+             {{"--fault-plan", plan_file},
+              {"--fault-seed", seed_str},
+              {"--iters", iters},
+              {"--periods", periods},
+              {"--report-out", report_out}});
+  const fault::FaultPlan plan =
+      load_fault_plan(plan_file, seed_str, fault::default_chaos_plan());
   ObsGuard obs_guard(argc, argv);
-
-  fault::FaultPlan plan = fault::default_chaos_plan();
-  if (!plan_file.empty()) {
-    const std::optional<fault::FaultPlan> loaded =
-        fault::FaultPlan::load(plan_file);
-    if (!loaded) {
-      std::fprintf(stderr, "cannot read fault plan %s\n", plan_file.c_str());
-      return 2;
-    }
-    plan = *loaded;
-  }
-  if (!seed_str.empty()) plan.seed = std::strtoull(seed_str.c_str(), nullptr, 0);
 
   std::printf("=== Chaos: closed loops under a deterministic fault plan "
               "(seed %llu) ===\n",

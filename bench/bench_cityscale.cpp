@@ -26,7 +26,7 @@
 //
 //   sdl — the same parallel writer load against a 1-stripe and a
 //   default-stripe Sdl, reporting stripe contentions and wall time (the
-//   oran.sdl.lock_wait_ns histogram fills as a side effect; view it via
+//   oran.sdl.lock_wait_ns sketch fills as a side effect; view it via
 //   --metrics-out or bench_perf_report).
 //
 // `--report-out FILE` writes the JSON consumed as the committed
@@ -385,43 +385,6 @@ void write_report(const std::string& path, const citysim::CityConfig& cfg,
   std::printf("[report] wrote %s\n", path.c_str());
 }
 
-std::uint64_t flag_u64(int& argc, char** argv, const char* name,
-                       std::uint64_t fallback) {
-  const std::size_t len = std::strlen(name);
-  std::uint64_t value = fallback;
-  int w = 1;
-  for (int r = 1; r < argc; ++r) {
-    if (std::strcmp(argv[r], name) == 0 && r + 1 < argc) {
-      value = std::strtoull(argv[++r], nullptr, 0);
-    } else if (std::strncmp(argv[r], name, len) == 0 &&
-               argv[r][len] == '=') {
-      value = std::strtoull(argv[r] + len + 1, nullptr, 0);
-    } else {
-      argv[w++] = argv[r];
-    }
-  }
-  argc = w;
-  return value;
-}
-
-std::string flag_str(int& argc, char** argv, const char* name) {
-  const std::size_t len = std::strlen(name);
-  std::string value;
-  int w = 1;
-  for (int r = 1; r < argc; ++r) {
-    if (std::strcmp(argv[r], name) == 0 && r + 1 < argc) {
-      value = argv[++r];
-    } else if (std::strncmp(argv[r], name, len) == 0 &&
-               argv[r][len] == '=') {
-      value = argv[r] + len + 1;
-    } else {
-      argv[w++] = argv[r];
-    }
-  }
-  argc = w;
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -429,21 +392,22 @@ int main(int argc, char** argv) {
   const int base_threads = parse_threads_flag(argc, argv);
 
   citysim::CityConfig cfg;
-  cfg.cells = static_cast<std::uint32_t>(
-      flag_u64(argc, argv, "--cells", cfg.cells));
-  cfg.ues =
-      static_cast<std::uint32_t>(flag_u64(argc, argv, "--ues", cfg.ues));
-  cfg.shards = static_cast<std::uint32_t>(
-      flag_u64(argc, argv, "--shards", cfg.shards));
-  cfg.seed = flag_u64(argc, argv, "--seed", cfg.seed);
-  const std::uint64_t epochs = flag_u64(argc, argv, "--epochs", 10);
-  const int passes =
-      static_cast<int>(flag_u64(argc, argv, "--passes", 2));
-  const std::uint64_t codec_inds =
-      flag_u64(argc, argv, "--codec-inds", 20000);
-  const std::uint64_t sdl_writes =
-      flag_u64(argc, argv, "--sdl-writes", 20000);
-  const std::string report_out = flag_str(argc, argv, "--report-out");
+  std::uint64_t epochs = 10;
+  std::uint64_t passes_flag = 2;
+  std::uint64_t codec_inds = 20000;
+  std::uint64_t sdl_writes = 20000;
+  std::string report_out;
+  scan_flags(argc, argv,
+             {{"--cells", cfg.cells},
+              {"--ues", cfg.ues},
+              {"--shards", cfg.shards},
+              {"--seed", cfg.seed},
+              {"--epochs", epochs},
+              {"--passes", passes_flag},
+              {"--codec-inds", codec_inds},
+              {"--sdl-writes", sdl_writes},
+              {"--report-out", report_out}});
+  const int passes = static_cast<int>(passes_flag);
 
   std::printf("=== City-scale emulation: %u cells, %u UEs, %u shards, "
               "%llu epochs, %d pass(es) ===\n",

@@ -1,6 +1,7 @@
 // Shared fixtures for the benchmark suite: the spectrogram/KPM/PRB corpora
 // at benchmark scale, victim training, the five-candidate surrogate list,
-// and table-printing helpers.
+// table-printing helpers, and the one argv scanner (scan_flags) behind
+// every bench's command line.
 //
 // Scale note: the paper trains ImageNet-class surrogates on GPUs over
 // 3,000 RGB 128×128 spectrograms. The benchmarks run the same pipeline on
@@ -15,6 +16,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,27 +39,106 @@
 
 namespace orev::bench {
 
+/// One valued flag of a scan_flags() table: `--name V` or `--name=V`
+/// parses V into the variable the entry was built from — int like atoi,
+/// float/double like atof, uint32/uint64 like strtoull (base 0, so hex
+/// works), std::string verbatim.
+struct Flag {
+  Flag(const char* n, int& v)
+      : name(n), set([&v](const char* s) { v = std::atoi(s); }) {}
+  Flag(const char* n, float& v)
+      : name(n),
+        set([&v](const char* s) { v = static_cast<float>(std::atof(s)); }) {}
+  Flag(const char* n, double& v)
+      : name(n), set([&v](const char* s) { v = std::atof(s); }) {}
+  Flag(const char* n, std::uint32_t& v)
+      : name(n), set([&v](const char* s) {
+          v = static_cast<std::uint32_t>(std::strtoull(s, nullptr, 0));
+        }) {}
+  Flag(const char* n, std::uint64_t& v)
+      : name(n),
+        set([&v](const char* s) { v = std::strtoull(s, nullptr, 0); }) {}
+  Flag(const char* n, std::string& v)
+      : name(n), set([&v](const char* s) { v = s; }) {}
+
+  const char* name;
+  std::function<void(const char*)> set;
+};
+
+/// A boolean switch of a scan_flags() table: a bare `--name` sets *on.
+struct Switch {
+  const char* name;
+  bool* on;
+};
+
+/// The one argv scanner every bench uses. One pass over argv: each
+/// argument that matches a table entry is consumed — a switch by exact
+/// name; a valued flag as `--name V` (the next argument is the value) or
+/// `--name=V` — and everything else is compacted to the front in its
+/// original order, with argc updated. A later occurrence overrides an
+/// earlier one. A valued flag in last position with no value is left in
+/// place. Stripping what it consumes lets parsers run in sequence
+/// (ObsGuard, parse_threads_flag, then the bench's own table) and keeps
+/// google-benchmark from ever seeing a bench flag.
+inline void scan_flags(int& argc, char** argv,
+                       std::initializer_list<Flag> flags,
+                       std::initializer_list<Switch> switches = {}) {
+  auto take = [&](int& r) {
+    const char* arg = argv[r];
+    for (const Switch& s : switches) {
+      if (std::strcmp(arg, s.name) == 0) {
+        *s.on = true;
+        return true;
+      }
+    }
+    for (const Flag& f : flags) {
+      const std::size_t len = std::strlen(f.name);
+      if (std::strncmp(arg, f.name, len) != 0) continue;
+      if (arg[len] == '=') {
+        f.set(arg + len + 1);
+        return true;
+      }
+      if (arg[len] == '\0' && r + 1 < argc) {
+        f.set(argv[++r]);
+        return true;
+      }
+    }
+    return false;
+  };
+  int w = 1;
+  for (int r = 1; r < argc; ++r)
+    if (!take(r)) argv[w++] = argv[r];  // take() moves r only on success
+  argc = w;
+}
+
 /// Parse and strip a `--threads N` / `--threads=N` flag, configure the
 /// global pool accordingly, and return the active thread count. With no
-/// flag the pool keeps its default (OREV_NUM_THREADS or 1). The flag is
-/// removed from argv so downstream parsers (e.g. google-benchmark) never
-/// see it.
+/// flag the pool keeps its default (OREV_NUM_THREADS or 1).
 inline int parse_threads_flag(int& argc, char** argv) {
   int threads = -1;
-  int w = 1;
-  for (int r = 1; r < argc; ++r) {
-    if (std::strcmp(argv[r], "--threads") == 0 && r + 1 < argc) {
-      threads = std::atoi(argv[++r]);
-    } else if (std::strncmp(argv[r], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[r] + 10);
-    } else {
-      argv[w++] = argv[r];
-    }
-  }
-  argc = w;
+  scan_flags(argc, argv, {{"--threads", threads}});
   if (threads > 0) util::set_num_threads(threads);
   std::printf("[threads] running with %d thread(s)\n", util::num_threads());
   return util::num_threads();
+}
+
+/// Load the fault plan at `path`, or start from `fallback` when `path` is
+/// empty, then override its seed when `seed` is non-empty (strtoull, base
+/// 0). An unreadable plan file is fatal: the bench exits with status 2.
+inline fault::FaultPlan load_fault_plan(const std::string& path,
+                                        const std::string& seed,
+                                        fault::FaultPlan fallback) {
+  fault::FaultPlan plan = std::move(fallback);
+  if (!path.empty()) {
+    std::optional<fault::FaultPlan> loaded = fault::FaultPlan::load(path);
+    if (!loaded) {
+      std::fprintf(stderr, "cannot read fault plan %s\n", path.c_str());
+      std::exit(2);
+    }
+    plan = std::move(*loaded);
+  }
+  if (!seed.empty()) plan.seed = std::strtoull(seed.c_str(), nullptr, 0);
+  return plan;
 }
 
 /// Monotonic wall-clock timer for CSV reporting. The observability layer's
@@ -75,8 +157,8 @@ using WallTimer = obs::WallTimer;
 /// seed, from fault::default_chaos_plan()) and installed as the
 /// process-global injector — so every existing bench runs under a fault
 /// schedule with no code changes. The injector's per-site stats print at
-/// exit. All flags are removed from argv so downstream parsers (e.g.
-/// google-benchmark) never see them.
+/// exit. All flags go through scan_flags(), so each also takes the
+/// `--flag=V` form and is removed from argv.
 ///
 /// Usage, first lines of a bench main():
 ///   bench::ObsGuard obs_guard(argc, argv);
@@ -86,33 +168,12 @@ class ObsGuard {
   ObsGuard(int& argc, char** argv) {
     std::string fault_plan;
     std::string fault_seed;
-    int w = 1;
-    for (int r = 1; r < argc; ++r) {
-      if (std::strcmp(argv[r], "--metrics-out") == 0 && r + 1 < argc) {
-        metrics_out_ = argv[++r];
-      } else if (std::strncmp(argv[r], "--metrics-out=", 14) == 0) {
-        metrics_out_ = argv[r] + 14;
-      } else if (std::strcmp(argv[r], "--trace-out") == 0 && r + 1 < argc) {
-        trace_out_ = argv[++r];
-      } else if (std::strncmp(argv[r], "--trace-out=", 12) == 0) {
-        trace_out_ = argv[r] + 12;
-      } else if (std::strcmp(argv[r], "--fault-plan") == 0 && r + 1 < argc) {
-        fault_plan = argv[++r];
-      } else if (std::strncmp(argv[r], "--fault-plan=", 13) == 0) {
-        fault_plan = argv[r] + 13;
-      } else if (std::strcmp(argv[r], "--fault-seed") == 0 && r + 1 < argc) {
-        fault_seed = argv[++r];
-      } else if (std::strncmp(argv[r], "--fault-seed=", 13) == 0) {
-        fault_seed = argv[r] + 13;
-      } else if (std::strcmp(argv[r], "--flight-dir") == 0 && r + 1 < argc) {
-        flight_dir_ = argv[++r];
-      } else if (std::strncmp(argv[r], "--flight-dir=", 13) == 0) {
-        flight_dir_ = argv[r] + 13;
-      } else {
-        argv[w++] = argv[r];
-      }
-    }
-    argc = w;
+    scan_flags(argc, argv,
+               {{"--metrics-out", metrics_out_},
+                {"--trace-out", trace_out_},
+                {"--fault-plan", fault_plan},
+                {"--fault-seed", fault_seed},
+                {"--flight-dir", flight_dir_}});
     if (!trace_out_.empty()) {
       obs::set_trace_enabled(true);
       // Causal spans and wall-clock trace events share the chrome export
@@ -122,20 +183,8 @@ class ObsGuard {
     }
     if (!flight_dir_.empty()) obs::set_flight_dir(flight_dir_);
     if (!fault_plan.empty() || !fault_seed.empty()) {
-      fault::FaultPlan plan = fault::default_chaos_plan();
-      if (!fault_plan.empty()) {
-        const std::optional<fault::FaultPlan> loaded =
-            fault::FaultPlan::load(fault_plan);
-        if (!loaded) {
-          std::fprintf(stderr, "[fault] cannot read plan file %s\n",
-                       fault_plan.c_str());
-          std::exit(2);
-        }
-        plan = *loaded;
-      }
-      if (!fault_seed.empty()) {
-        plan.seed = std::strtoull(fault_seed.c_str(), nullptr, 0);
-      }
+      const fault::FaultPlan plan =
+          load_fault_plan(fault_plan, fault_seed, fault::default_chaos_plan());
       injector_ = std::make_unique<fault::FaultInjector>(plan);
       fault::set_global_injector(injector_.get());
       std::printf("[fault] injector armed (plan=%s seed=%llu)\n",

@@ -45,7 +45,6 @@
 #include <cstdlib>
 #include <utility>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -87,39 +86,17 @@ struct Flags {
 
 Flags parse_flags(int& argc, char** argv) {
   Flags f;
-  int w = 1;
-  for (int r = 1; r < argc; ++r) {
-    auto take = [&](const char* name, auto setter) {
-      const std::size_t len = std::strlen(name);
-      if (std::strcmp(argv[r], name) == 0 && r + 1 < argc) {
-        setter(argv[++r]);
-        return true;
-      }
-      if (std::strncmp(argv[r], name, len) == 0 && argv[r][len] == '=') {
-        setter(argv[r] + len + 1);
-        return true;
-      }
-      return false;
-    };
-    if (take("--flows", [&](const char* v) { f.flows = std::atoi(v); }) ||
-        take("--warmup", [&](const char* v) { f.warmup = std::atoi(v); }) ||
-        take("--rounds", [&](const char* v) { f.rounds = std::atoi(v); }) ||
-        take("--attack-fraction",
-             [&](const char* v) { f.attack_fraction = std::atof(v); }) ||
-        take("--eps",
-             [&](const char* v) { f.eps = static_cast<float>(std::atof(v)); }) ||
-        take("--min-auc", [&](const char* v) { f.min_auc = std::atof(v); }) ||
-        take("--min-auc-loop",
-             [&](const char* v) { f.min_auc_loop = std::atof(v); }) ||
-        take("--max-p99-overhead",
-             [&](const char* v) { f.max_p99_overhead = std::atof(v); }) ||
-        take("--ckpt-dir", [&](const char* v) { f.ckpt_dir = v; }) ||
-        take("--report-out", [&](const char* v) { f.report_out = v; })) {
-      continue;
-    }
-    argv[w++] = argv[r];
-  }
-  argc = w;
+  scan_flags(argc, argv,
+             {{"--flows", f.flows},
+              {"--warmup", f.warmup},
+              {"--rounds", f.rounds},
+              {"--attack-fraction", f.attack_fraction},
+              {"--eps", f.eps},
+              {"--min-auc", f.min_auc},
+              {"--min-auc-loop", f.min_auc_loop},
+              {"--max-p99-overhead", f.max_p99_overhead},
+              {"--ckpt-dir", f.ckpt_dir},
+              {"--report-out", f.report_out}});
   return f;
 }
 

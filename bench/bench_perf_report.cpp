@@ -1,5 +1,5 @@
-// Perf report: times three representative workloads into registry
-// histograms and prints their p50/p95/p99, so a single run with
+// Perf report: times representative workloads into registry quantile
+// sketches and prints their p50/p95/p99/p999, so a single run with
 // `--metrics-out BENCH_<date>.json` captures the repo's latency
 // trajectory in one comparable file:
 //
@@ -23,18 +23,15 @@
 //                           so the perf trajectory tracks defense health.
 //
 // The report also sweeps attack_batch() once, so the instrumentation
-// histograms populated by the pipelines themselves (attack.batch.*,
+// sketches populated by the pipelines themselves (attack.batch.*,
 // oran.*, serve.*) appear in the same JSON.
 //
-// Every perf.* histogram has a twin quantile sketch (`<name>_q`,
-// DESIGN.md §13) fed the same samples: the fixed-bucket histogram keeps
-// the report comparable with committed baselines, the sketch adds
-// relative-error p50/p95/p99/p999 without bucket-edge bias.
-//
 // Regression diffing: `--baseline BENCH_<date>.json` (a committed
-// --metrics-out file) prints a per-histogram delta table against this
-// run; `--serve-baseline BENCH_SERVE_<date>.json` diffs the serving
-// bench's unbatched/served throughput; `--defense-baseline
+// --metrics-out file) prints a per-metric p50/p99 delta table against
+// this run (older baselines carry the same names as fixed-bucket
+// histograms with the same fields); `--serve-baseline
+// BENCH_SERVE_<date>.json` diffs the serving bench's unbatched/served
+// throughput; `--defense-baseline
 // BENCH_DEFENSE_<date>.json` echoes the committed defense bench's
 // closed-loop AUC / release-rate / swap and overhead numbers;
 // `--cityscale-baseline BENCH_CITYSCALE_<date>.json` echoes the committed
@@ -44,7 +41,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -82,18 +78,9 @@ class SinkE2Node : public oran::E2Node {
   std::uint64_t controls = 0;
 };
 
-/// One timed sample lands in both the fixed-bucket histogram (baseline
-/// comparability) and its twin quantile sketch (`<name>_q`).
-void observe_ms(obs::Histogram& h, obs::SketchMetric& q, double ms) {
-  h.observe(ms);
-  q.observe(ms);
-}
-
 void run_matmul(int reps) {
-  obs::Histogram& h = obs::histogram(
-      "perf.matmul64_ms", {}, "64x64 single-threaded matmul latency");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.matmul64_ms_q", 0.01, "64x64 matmul latency (quantile sketch)");
+  obs::SketchMetric& h = obs::sketch(
+      "perf.matmul64_ms", 0.01, "64x64 single-threaded matmul latency");
   Rng rng(7);
   const nn::Tensor a = nn::Tensor::randn({64, 64}, rng);
   const nn::Tensor b = nn::Tensor::randn({64, 64}, rng);
@@ -101,18 +88,15 @@ void run_matmul(int reps) {
   for (int i = 0; i < reps; ++i) {
     WallTimer t;
     sink = nn::matmul(a, b)[0];
-    observe_ms(h, q, t.seconds() * 1e3);
+    h.observe(t.seconds() * 1e3);
   }
   (void)sink;
 }
 
 void run_e2_roundtrip(int reps) {
-  obs::Histogram& h = obs::histogram(
-      "perf.e2_roundtrip_ms", {},
+  obs::SketchMetric& h = obs::sketch(
+      "perf.e2_roundtrip_ms", 0.01,
       "E2 indication -> SDL -> xApp dispatch -> E2 control round trip");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.e2_roundtrip_ms_q", 0.01,
-      "E2 round trip latency (quantile sketch)");
 
   oran::Rbac rbac;
   rbac.define_role("xapp-full",
@@ -143,19 +127,16 @@ void run_e2_roundtrip(int reps) {
     ind.tti = static_cast<std::uint64_t>(i);
     WallTimer t;
     ric.deliver_indication(ind);
-    observe_ms(h, q, t.seconds() * 1e3);
+    h.observe(t.seconds() * 1e3);
   }
   std::printf("[e2] %llu controls received over %d indications\n",
               static_cast<unsigned long long>(node.controls), reps);
 }
 
 void run_attack(int samples) {
-  obs::Histogram& h = obs::histogram(
-      "perf.attack_sample_ms", {},
+  obs::SketchMetric& h = obs::sketch(
+      "perf.attack_sample_ms", 0.01,
       "one FGSM perturbation of one spectrogram on the surrogate");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.attack_sample_ms_q", 0.01,
-      "per-sample FGSM latency (quantile sketch)");
 
   const data::Dataset corpus = bench_spectrogram_corpus(/*per_class=*/12);
   nn::Model surrogate =
@@ -169,21 +150,18 @@ void run_attack(int samples) {
     const int label = surrogate.predict_one(x);
     volatile float sink = fgsm.perturb(surrogate, x, label)[0];
     (void)sink;
-    observe_ms(h, q, t.seconds() * 1e3);
+    h.observe(t.seconds() * 1e3);
   }
 
-  // One batched sweep so the pipeline's own attack.batch.* histograms are
+  // One batched sweep so the pipeline's own attack.batch.* sketches are
   // populated in the same report.
   attack::attack_batch(fgsm, surrogate, corpus.x, /*target_class=*/-1);
 }
 
 void run_serve(int batches) {
-  obs::Histogram& h = obs::histogram(
-      "perf.serve_batch_ms", {},
+  obs::SketchMetric& h = obs::sketch(
+      "perf.serve_batch_ms", 0.01,
       "one full 32-request micro-batch through the serving engine");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.serve_batch_ms_q", 0.01,
-      "full micro-batch latency (quantile sketch)");
 
   serve::ServeConfig cfg;
   cfg.name = "perf";
@@ -202,18 +180,15 @@ void run_serve(int batches) {
     // covers admission + batching + the batched forward + completions.
     WallTimer t;
     for (nn::Tensor& r : reqs) eng.submit(std::move(r), nullptr);
-    observe_ms(h, q, t.seconds() * 1e3);
+    h.observe(t.seconds() * 1e3);
   }
   eng.drain();
 }
 
 void run_defense(int batches) {
-  obs::Histogram& h = obs::histogram(
-      "perf.defense_screen_ms", {},
+  obs::SketchMetric& h = obs::sketch(
+      "perf.defense_screen_ms", 0.01,
       "one screened 32-request micro-batch through the defended engine");
-  obs::SketchMetric& q = obs::sketch(
-      "perf.defense_screen_ms_q", 0.01,
-      "screened micro-batch latency (quantile sketch)");
 
   serve::ServeConfig cfg;
   cfg.name = "perfdef";
@@ -247,7 +222,7 @@ void run_defense(int batches) {
     }
     WallTimer t;
     for (nn::Tensor& r : reqs) eng.submit(std::move(r), nullptr);
-    observe_ms(h, q, t.seconds() * 1e3);
+    h.observe(t.seconds() * 1e3);
   }
   eng.drain();
 
@@ -325,13 +300,6 @@ void run_sdl_stripes(int writes_per_worker) {
   util::set_num_threads(1);
 }
 
-void print_hist(const char* name, const char* unit = "ms") {
-  const obs::Histogram::Snapshot s = obs::histogram(name).snapshot();
-  std::printf("%-24s n=%6llu  p50=%9.4f %s  p95=%9.4f %s  p99=%9.4f %s\n",
-              name, static_cast<unsigned long long>(s.count), s.p50, unit,
-              s.p95, unit, s.p99, unit);
-}
-
 void print_sketch(const char* name, const char* unit = "ms") {
   const obs::QuantileSketch s = obs::sketch(name).merged();
   std::printf("%-26s n=%6llu  p50=%9.4f  p95=%9.4f  p99=%9.4f  "
@@ -394,10 +362,10 @@ void diff_against_baseline(const std::string& path) {
        {"perf.matmul64_ms", "perf.e2_roundtrip_ms", "perf.attack_sample_ms",
         "attack.batch.sample_ms", "perf.serve_batch_ms",
         "perf.defense_screen_ms"}) {
-    const obs::Histogram::Snapshot s = obs::histogram(name).snapshot();
-    diff_row((std::string(name) + " p50").c_str(), s.p50,
+    const obs::QuantileSketch s = obs::sketch(name).merged();
+    diff_row((std::string(name) + " p50").c_str(), s.quantile(0.50),
              baseline_field(json, name, "p50"), "ms");
-    diff_row((std::string(name) + " p99").c_str(), s.p99,
+    diff_row((std::string(name) + " p99").c_str(), s.quantile(0.99),
              baseline_field(json, name, "p99"), "ms");
   }
 }
@@ -483,40 +451,17 @@ int main(int argc, char** argv) {
   ObsGuard obs_guard(argc, argv);
   parse_threads_flag(argc, argv);
 
-  // --baseline / --serve-baseline / --defense-baseline: committed reports
-  // to diff against.
+  // --baseline / --serve-baseline / --defense-baseline /
+  // --cityscale-baseline: committed reports to diff against.
   std::string baseline;
   std::string serve_baseline;
   std::string defense_baseline;
   std::string cityscale_baseline;
-  {
-    int w = 1;
-    for (int r = 1; r < argc; ++r) {
-      if (std::strcmp(argv[r], "--baseline") == 0 && r + 1 < argc) {
-        baseline = argv[++r];
-      } else if (std::strncmp(argv[r], "--baseline=", 11) == 0) {
-        baseline = argv[r] + 11;
-      } else if (std::strcmp(argv[r], "--serve-baseline") == 0 &&
-                 r + 1 < argc) {
-        serve_baseline = argv[++r];
-      } else if (std::strncmp(argv[r], "--serve-baseline=", 17) == 0) {
-        serve_baseline = argv[r] + 17;
-      } else if (std::strcmp(argv[r], "--defense-baseline") == 0 &&
-                 r + 1 < argc) {
-        defense_baseline = argv[++r];
-      } else if (std::strncmp(argv[r], "--defense-baseline=", 19) == 0) {
-        defense_baseline = argv[r] + 19;
-      } else if (std::strcmp(argv[r], "--cityscale-baseline") == 0 &&
-                 r + 1 < argc) {
-        cityscale_baseline = argv[++r];
-      } else if (std::strncmp(argv[r], "--cityscale-baseline=", 21) == 0) {
-        cityscale_baseline = argv[r] + 21;
-      } else {
-        argv[w++] = argv[r];
-      }
-    }
-    argc = w;
-  }
+  scan_flags(argc, argv,
+             {{"--baseline", baseline},
+              {"--serve-baseline", serve_baseline},
+              {"--defense-baseline", defense_baseline},
+              {"--cityscale-baseline", cityscale_baseline}});
 
   std::printf("=== Perf report: matmul / E2 round-trip / attack sample / "
               "serve batch / defended batch ===\n");
@@ -529,20 +474,13 @@ int main(int argc, char** argv) {
   run_sdl_stripes(/*writes_per_worker=*/2000);
 
   print_rule();
-  print_hist("perf.matmul64_ms");
-  print_hist("perf.e2_roundtrip_ms");
-  print_hist("perf.attack_sample_ms");
-  print_hist("attack.batch.sample_ms");
-  print_hist("perf.serve_batch_ms");
-  print_hist("perf.defense_screen_ms");
-  print_hist("oran.sdl.lock_wait_ns", "ns");
-  print_rule();
-  // Sketch-derived quantiles (relative-error guarantee, no bucket bias).
-  print_sketch("perf.matmul64_ms_q");
-  print_sketch("perf.e2_roundtrip_ms_q");
-  print_sketch("perf.attack_sample_ms_q");
-  print_sketch("perf.serve_batch_ms_q");
-  print_sketch("perf.defense_screen_ms_q");
+  print_sketch("perf.matmul64_ms");
+  print_sketch("perf.e2_roundtrip_ms");
+  print_sketch("perf.attack_sample_ms");
+  print_sketch("attack.batch.sample_ms");
+  print_sketch("perf.serve_batch_ms");
+  print_sketch("perf.defense_screen_ms");
+  print_sketch("oran.sdl.lock_wait_ns", "ns");
   print_sketch("serve.perf.latency_us", "us");  // virtual submit-to-completion
   print_rule();
   if (!baseline.empty()) {

@@ -200,32 +200,10 @@ fault::FaultPlan single_kill(std::uint64_t seed, const std::string& site,
 int main(int argc, char** argv) {
   std::string plan_file;
   bool print_plan = false;
-  {
-    int w = 1;
-    for (int r = 1; r < argc; ++r) {
-      if (std::strcmp(argv[r], "--kill-plan") == 0 && r + 1 < argc) {
-        plan_file = argv[++r];
-      } else if (std::strncmp(argv[r], "--kill-plan=", 12) == 0) {
-        plan_file = argv[r] + 12;
-      } else if (std::strcmp(argv[r], "--print-plan") == 0) {
-        print_plan = true;
-      } else {
-        argv[w++] = argv[r];
-      }
-    }
-    argc = w;
-  }
-
-  fault::FaultPlan plan = fault::default_recovery_plan();
-  if (!plan_file.empty()) {
-    const std::optional<fault::FaultPlan> loaded =
-        fault::FaultPlan::load(plan_file);
-    if (!loaded) {
-      std::fprintf(stderr, "cannot read kill plan %s\n", plan_file.c_str());
-      return 2;
-    }
-    plan = *loaded;
-  }
+  scan_flags(argc, argv, {{"--kill-plan", plan_file}},
+             {{"--print-plan", &print_plan}});
+  const fault::FaultPlan plan =
+      load_fault_plan(plan_file, "", fault::default_recovery_plan());
   if (print_plan) {
     std::fputs(plan.to_string().c_str(), stdout);
     return 0;

@@ -101,54 +101,23 @@ struct Flags {
   std::string digests_out;
 };
 
-int parse_int(const char* s) { return std::atoi(s); }
-
 Flags parse_flags(int& argc, char** argv) {
   Flags f;
-  int w = 1;
-  for (int r = 1; r < argc; ++r) {
-    auto take = [&](const char* name, auto setter) {
-      const std::size_t len = std::strlen(name);
-      if (std::strcmp(argv[r], name) == 0 && r + 1 < argc) {
-        setter(argv[++r]);
-        return true;
-      }
-      if (std::strncmp(argv[r], name, len) == 0 && argv[r][len] == '=') {
-        setter(argv[r] + len + 1);
-        return true;
-      }
-      return false;
-    };
-    if (take("--cells", [&](const char* v) { f.cells = parse_int(v); }) ||
-        take("--ues", [&](const char* v) { f.ues = parse_int(v); }) ||
-        take("--rounds", [&](const char* v) { f.rounds = parse_int(v); }) ||
-        take("--batch-max",
-             [&](const char* v) { f.batch_max = parse_int(v); }) ||
-        take("--deadline-us",
-             [&](const char* v) {
-               f.deadline_us = std::strtoull(v, nullptr, 0);
-             }) ||
-        take("--replicas", [&](const char* v) { f.replicas = parse_int(v); }) ||
-        take("--queue-capacity",
-             [&](const char* v) { f.queue_capacity = parse_int(v); }) ||
-        take("--passes", [&](const char* v) { f.passes = parse_int(v); }) ||
-        take("--min-speedup",
-             [&](const char* v) { f.min_speedup = std::atof(v); }) ||
-        take("--min-cnn-speedup",
-             [&](const char* v) { f.min_cnn_speedup = std::atof(v); }) ||
-        take("--max-obs-overhead-pct",
-             [&](const char* v) { f.max_obs_overhead_pct = std::atof(v); }) ||
-        take("--max-defense-overhead-pct",
-             [&](const char* v) {
-               f.max_defense_overhead_pct = std::atof(v);
-             }) ||
-        take("--report-out", [&](const char* v) { f.report_out = v; }) ||
-        take("--digests-out", [&](const char* v) { f.digests_out = v; })) {
-      continue;
-    }
-    argv[w++] = argv[r];
-  }
-  argc = w;
+  scan_flags(argc, argv,
+             {{"--cells", f.cells},
+              {"--ues", f.ues},
+              {"--rounds", f.rounds},
+              {"--batch-max", f.batch_max},
+              {"--deadline-us", f.deadline_us},
+              {"--replicas", f.replicas},
+              {"--queue-capacity", f.queue_capacity},
+              {"--passes", f.passes},
+              {"--min-speedup", f.min_speedup},
+              {"--min-cnn-speedup", f.min_cnn_speedup},
+              {"--max-obs-overhead-pct", f.max_obs_overhead_pct},
+              {"--max-defense-overhead-pct", f.max_defense_overhead_pct},
+              {"--report-out", f.report_out},
+              {"--digests-out", f.digests_out}});
   return f;
 }
 

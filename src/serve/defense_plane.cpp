@@ -1,7 +1,9 @@
 #include "serve/defense_plane.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "nn/serialize.hpp"
@@ -16,6 +18,16 @@ namespace {
 
 /// Frame app tag for defense-plane checkpoints (ISSUE 8 contract).
 constexpr const char* kDefenseTag = "orev.defense";
+
+/// The largest of the three threshold-normalized detector scores, or NaN
+/// when any of them is NaN (a non-finite feature): std::max alone keeps a
+/// NaN only in first position, which would let a NaN in a later detector
+/// hide behind a finite one and pass the screen or the review.
+double combined_score(double dist, double step, double ens) {
+  if (std::isnan(dist) || std::isnan(step) || std::isnan(ens))
+    return std::numeric_limits<double>::quiet_NaN();
+  return std::max({dist, step, ens});
+}
 
 }  // namespace
 
@@ -106,10 +118,11 @@ DefenseVerdict DefensePlane::screen(std::uint64_t request_id,
 
   // With adaptive thresholds disabled the accessors return the configured
   // statics verbatim, so this is the exact pre-adaptive comparison.
-  v.score = std::max({v.dist_score / adaptive_.dist_threshold(),
-                      v.step_score / adaptive_.step_threshold(flow_key),
-                      v.ens_score / adaptive_.ens_threshold()});
-  v.flagged = v.score >= 1.0;
+  v.score = combined_score(v.dist_score / adaptive_.dist_threshold(),
+                           v.step_score / adaptive_.step_threshold(flow_key),
+                           v.ens_score / adaptive_.ens_threshold());
+  // Negated so a NaN score (an unscorable row) quarantines, never passes.
+  v.flagged = !(v.score < 1.0);
 
   if (v.flagged) {
     ++flagged_;
@@ -216,9 +229,9 @@ std::vector<ReviewOutcome> DefensePlane::review(
     if (cfg_.use_ensemble && ensemble_ != nullptr)
       ens = ensemble_->score(rec.sample, re_pred);
     const double review_score =
-        std::max(std::max(dist / adaptive_.dist_threshold(),
-                          step / adaptive_.step_threshold(rec.flow_key)),
-                 ens / adaptive_.ens_threshold());
+        combined_score(dist / adaptive_.dist_threshold(),
+                       step / adaptive_.step_threshold(rec.flow_key),
+                       ens / adaptive_.ens_threshold());
 
     ReviewOutcome o;
     o.request_id = rec.request_id;

@@ -45,7 +45,9 @@ void stage_generic(const float* x, const double* bt, const float* bias,
 // whole k loop; remainder columns fall back to the scalar element loop
 // (identical per-element op order either way). Separate mul + add —
 // never FMA — keeps the intermediate rounding identical to the scalar
-// reference.
+// reference. The fused ReLU is max_ps(zero, v): maxps returns its second
+// operand when either is NaN and when both are zeros, so this order keeps
+// NaN and -0.0 exactly like std::max(v, 0.0f) in the scalar columns.
 __attribute__((target("avx2"))) void stage_avx2(const float* x,
                                                 const double* bt,
                                                 const float* bias, bool relu,
@@ -80,10 +82,10 @@ __attribute__((target("avx2"))) void stage_avx2(const float* x,
         v3 = _mm_add_ps(v3, _mm_loadu_ps(bias + j0 + 12));
       }
       if (relu) {
-        v0 = _mm_max_ps(v0, zero4);
-        v1 = _mm_max_ps(v1, zero4);
-        v2 = _mm_max_ps(v2, zero4);
-        v3 = _mm_max_ps(v3, zero4);
+        v0 = _mm_max_ps(zero4, v0);
+        v1 = _mm_max_ps(zero4, v1);
+        v2 = _mm_max_ps(zero4, v2);
+        v3 = _mm_max_ps(zero4, v3);
       }
       _mm_storeu_ps(yrow + j0, v0);
       _mm_storeu_ps(yrow + j0 + 4, v1);
@@ -136,10 +138,10 @@ __attribute__((target("avx2,avx512f"))) void stage_avx512(
         v3 = _mm256_add_ps(v3, _mm256_loadu_ps(bias + j0 + 24));
       }
       if (relu) {
-        v0 = _mm256_max_ps(v0, zero8);
-        v1 = _mm256_max_ps(v1, zero8);
-        v2 = _mm256_max_ps(v2, zero8);
-        v3 = _mm256_max_ps(v3, zero8);
+        v0 = _mm256_max_ps(zero8, v0);
+        v1 = _mm256_max_ps(zero8, v1);
+        v2 = _mm256_max_ps(zero8, v2);
+        v3 = _mm256_max_ps(zero8, v3);
       }
       _mm256_storeu_ps(yrow + j0, v0);
       _mm256_storeu_ps(yrow + j0 + 8, v1);
@@ -170,10 +172,10 @@ __attribute__((target("avx2,avx512f"))) void stage_avx512(
         v3 = _mm_add_ps(v3, _mm_loadu_ps(bias + j0 + 12));
       }
       if (relu) {
-        v0 = _mm_max_ps(v0, zero4);
-        v1 = _mm_max_ps(v1, zero4);
-        v2 = _mm_max_ps(v2, zero4);
-        v3 = _mm_max_ps(v3, zero4);
+        v0 = _mm_max_ps(zero4, v0);
+        v1 = _mm_max_ps(zero4, v1);
+        v2 = _mm_max_ps(zero4, v2);
+        v3 = _mm_max_ps(zero4, v3);
       }
       _mm_storeu_ps(yrow + j0, v0);
       _mm_storeu_ps(yrow + j0 + 4, v1);
@@ -227,7 +229,7 @@ __attribute__((target("avx2"))) void conv_avx2(
         v = _mm256_add_ps(_mm256_mul_ps(v, _mm256_set1_ps(bn_gamma[c])),
                           _mm256_set1_ps(bn_beta[c]));
       }
-      if (relu) v = _mm256_max_ps(v, zero8);
+      if (relu) v = _mm256_max_ps(zero8, v);
       _mm256_storeu_ps(out + p, v);
     }
     for (; p < m; ++p) {
@@ -259,7 +261,7 @@ __attribute__((target("avx2"))) inline __m256 conv_epilogue8(
     v = _mm256_add_ps(_mm256_mul_ps(v, _mm256_set1_ps(bn_gamma[c])),
                       _mm256_set1_ps(bn_beta[c]));
   }
-  if (relu) v = _mm256_max_ps(v, _mm256_setzero_ps());
+  if (relu) v = _mm256_max_ps(_mm256_setzero_ps(), v);
   return v;
 }
 

@@ -1,8 +1,8 @@
 // Mergeable relative-error quantile sketch (DDSketch-style).
 //
-// Fixed-bucket histograms (metrics.hpp) answer "roughly where is p99"
-// only as well as their bucket edges allow — and SLO misses live exactly
-// in the tail where the edges are coarsest. This sketch instead maps each
+// Fixed-bucket histograms answer "roughly where is p99" only as well as
+// their bucket edges allow — and SLO misses live exactly in the tail
+// where the edges are coarsest. This sketch instead maps each
 // value to a logarithmic bucket index i = ceil(ln v / ln gamma) with
 // gamma = (1 + alpha) / (1 - alpha), which guarantees every reported
 // quantile q satisfies |q - q_true| <= alpha * q_true (relative error,
@@ -33,18 +33,10 @@ class QuantileSketch {
       : alpha_(alpha), gamma_((1.0 + alpha) / (1.0 - alpha)),
         inv_log_gamma_(1.0 / std::log((1.0 + alpha) / (1.0 - alpha))) {}
 
+  /// Non-finite values (NaN, ±inf) are refused: they carry no rank, and
+  /// NaN would reach index_of's int32 cast (undefined behaviour).
   void observe(double v) {
-    ++count_;
-    sum_ += v;
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-    if (v < kMinTrackable) {
-      // Zero bucket: zeros and negatives (queue depths, degenerate
-      // latencies) — counted but not resolved beyond "<= ~0".
-      ++zero_count_;
-      return;
-    }
-    ++buckets_[index_of(v)];
+    if (record(v)) ++buckets_[index_of(v)];
   }
 
   /// Exact merge: integer addition of bucket counts. Associative and
@@ -145,7 +137,30 @@ class QuantileSketch {
   }
 
  private:
+  // The registry's SketchMetric keeps this envelope per shard but stores
+  // the buckets densely (so its hot path never allocates) and folds them
+  // into buckets_ when merged.
+  friend class SketchMetric;
+
   static constexpr double kMinTrackable = 1e-9;
+
+  /// Everything observe() does except the bucket increment: refuses
+  /// non-finite values, updates count/sum/min/max and the zero bucket.
+  /// True when `v` still needs its log bucket (v >= kMinTrackable).
+  bool record(double v) {
+    if (!std::isfinite(v)) return false;
+    ++count_;
+    sum_ += v;
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+    if (v < kMinTrackable) {
+      // Zero bucket: zeros and negatives (queue depths, degenerate
+      // latencies) — counted but not resolved beyond "<= ~0".
+      ++zero_count_;
+      return false;
+    }
+    return true;
+  }
 
   std::int32_t index_of(double v) const {
     return static_cast<std::int32_t>(std::ceil(std::log(v) * inv_log_gamma_));

@@ -14,10 +14,12 @@
 //     locked byte-for-byte (regenerate with OREV_UPDATE_GOLDEN=1).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -220,6 +222,95 @@ TEST(CompiledCnnDifferential, HandBuiltDepthwiseBnChainExercisesEveryFusion) {
   const std::string d4 = tensor_digest(r.plan->logits(batch));
   EXPECT_EQ(d1, tensor_digest(walk));
   EXPECT_EQ(d1, d4);
+}
+
+/// Compile `m` (locked for inference) and demand its logits for `batch`
+/// are bit-identical to the layer walk's, NaN payloads and zero signs
+/// included. Returns the walk's output for further checks.
+nn::Tensor expect_plan_matches_walk_bits(nn::Model& m,
+                                         const nn::Tensor& batch) {
+  m.set_inference_only(true);
+  CompiledPlan::CompileResult r = CompiledPlan::compile(m);
+  EXPECT_NE(r.plan, nullptr) << r.failure.detail;
+  const nn::Tensor walk = m.forward(batch, /*training=*/false);
+  if (r.plan == nullptr) return walk;
+  const nn::Tensor lg = r.plan->logits(batch);
+  EXPECT_EQ(lg.numel(), walk.numel());
+  for (std::size_t i = 0; i < walk.numel(); ++i) {
+    std::uint32_t a = 0, b = 0;
+    std::memcpy(&a, &lg.raw()[i], sizeof a);
+    std::memcpy(&b, &walk.raw()[i], sizeof b);
+    EXPECT_EQ(a, b) << m.name() << " element " << i << ": plan "
+                    << lg.raw()[i] << " vs walk " << walk.raw()[i];
+  }
+  return walk;
+}
+
+bool has_bits(const nn::Tensor& t, float v) {
+  for (std::size_t i = 0; i < t.numel(); ++i)
+    if (std::memcmp(&t.raw()[i], &v, sizeof v) == 0) return true;
+  return false;
+}
+
+TEST(CompiledCnnDifferential, FusedReluKeepsNanAndSignedZeroLikeTheWalk) {
+  // The walk's ReLU is std::max(v, 0.0f): NaN and -0.0 pass through,
+  // -inf becomes 0. Every SIMD lane and every scalar tail column of the
+  // fused epilogues must agree bit for bit.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> specials = {nan, 0.0f, -0.0f, inf, -inf, 1.5f,
+                                       -2.5f};
+
+  // Dense stage, 55 columns: the AVX-512 32-wide tile, a 16-wide tile
+  // (three for AVX2) and a 7-column scalar tail. Weight -1e-25 times
+  // input 1e-25 accumulates -1e-50, which rounds to -0.0f; each column's
+  // bias then sets its pre-activation to one of the specials.
+  {
+    constexpr int kCols = 55;
+    auto seq = std::make_unique<nn::Sequential>();
+    seq->emplace<nn::Dense>(1, kCols);
+    seq->emplace<nn::ReLU>();
+    nn::Model m("ReluDense", std::move(seq), {1}, kCols);
+    const std::vector<nn::Param*> ps = m.params();
+    ASSERT_EQ(ps.size(), 2u);
+    for (int j = 0; j < kCols; ++j) {
+      ps[0]->value[static_cast<std::size_t>(j)] = -1e-25f;
+      ps[1]->value[static_cast<std::size_t>(j)] =
+          specials[static_cast<std::size_t>(j) % specials.size()];
+    }
+    const nn::Tensor batch({3, 1}, {1e-25f, -1e-25f, 0.75f});
+    const nn::Tensor walk = expect_plan_matches_walk_bits(m, batch);
+    EXPECT_TRUE(has_bits(walk, -0.0f));
+    EXPECT_TRUE(std::isnan(walk[0]));
+  }
+
+  // Conv stage, 29 output pixels: a 16-pixel AVX-512 block, an 8-pixel
+  // block and a 5-pixel scalar tail. A 1x1 filter of 1e-25 and bias
+  // -0.0f map each input pixel to its pre-activation (-1e-25 → -0.0f).
+  {
+    constexpr int kPixels = 29;
+    auto seq = std::make_unique<nn::Sequential>();
+    seq->emplace<nn::Conv2D>(1, 1, /*kernel=*/1);
+    seq->emplace<nn::ReLU>();
+    seq->emplace<nn::Flatten>();
+    nn::Model m("ReluConv", std::move(seq), {1, 1, kPixels}, kPixels);
+    const std::vector<nn::Param*> ps = m.params();
+    ASSERT_EQ(ps.size(), 2u);
+    ps[0]->value[0] = 1e-25f;
+    ps[1]->value[0] = -0.0f;
+    nn::Tensor batch({2, 1, 1, kPixels});
+    for (int p = 0; p < kPixels; ++p) {
+      const float v = specials[static_cast<std::size_t>(p) % specials.size()];
+      batch[static_cast<std::size_t>(p)] = v == 0.0f && std::signbit(v)
+                                               ? -1e-25f
+                                               : v;
+      batch[static_cast<std::size_t>(kPixels + p)] =
+          specials[static_cast<std::size_t>(p + 3) % specials.size()];
+    }
+    const nn::Tensor walk = expect_plan_matches_walk_bits(m, batch);
+    EXPECT_TRUE(has_bits(walk, -0.0f));
+    EXPECT_TRUE(std::isnan(walk[0]));
+  }
 }
 
 // ------------------------------------------------- typed compile errors --

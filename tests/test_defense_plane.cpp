@@ -332,6 +332,39 @@ TEST(DefensePlane, FlagsOutOfDistributionRowsAndBoundsTheQuarantineRing) {
   EXPECT_EQ(plane.finetune().items().front().label, 1);
 }
 
+TEST(DefensePlane, NonFiniteFeatureIsFlaggedNotPassed) {
+  // A far row is flagged; the same row with one NaN feature scores NaN,
+  // which compares false against every threshold — it must be flagged
+  // too, not accepted as clean.
+  DefensePlane plane(tight_defense(), "nantest");
+  plane.calibrate(cluster_rows(64, 0xd1));
+  Rng rng(0xd3);
+  const nn::Tensor far = far_row(rng);
+  const DefenseVerdict vf = plane.screen(1, "", 0, far, 1);
+  EXPECT_TRUE(vf.flagged);
+  EXPECT_GE(vf.score, 1.0);
+  nn::Tensor poisoned = far;
+  poisoned[2] = std::numeric_limits<float>::quiet_NaN();
+  const DefenseVerdict vn = plane.screen(2, "", 0, poisoned, 1);
+  EXPECT_TRUE(std::isnan(vn.score));
+  EXPECT_TRUE(vn.flagged);
+  EXPECT_EQ(plane.flagged(), 2u);
+
+  // With only the ensemble detector live its NaN sits behind two finite
+  // zero scores; it must still quarantine the row.
+  DefenseConfig ens_cfg = tight_defense();
+  ens_cfg.use_distribution = false;
+  ens_cfg.use_norm_screen = false;
+  DefensePlane ens_plane(ens_cfg, "nanens");
+  ens_plane.attach_sibling(test::known_linear_model());
+  const nn::Tensor nan2(
+      {2}, {0.9f, std::numeric_limits<float>::quiet_NaN()});
+  const DefenseVerdict ve = ens_plane.screen(1, "", 0, nan2, 1);
+  EXPECT_TRUE(std::isnan(ve.ens_score));
+  EXPECT_TRUE(std::isnan(ve.score));
+  EXPECT_TRUE(ve.flagged);
+}
+
 TEST(DefensePlane, FlaggedRowsNeverAdvanceTheLastKnownGood) {
   DefensePlane plane(tight_defense(), "lkgtest");
   defense::NormScreen seed_screen;  // reuse the walk helper's row sequence

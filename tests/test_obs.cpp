@@ -1,5 +1,5 @@
 // Observability-layer lockdown: metric correctness (counters, gauges,
-// histogram statistics and percentile estimation), registry get-or-create
+// quantile-sketch histogram statistics and quantiles), registry get-or-create
 // stability, exactness of lock-striped counters under the thread pool,
 // well-formedness of both JSON exports (metrics report and Chrome trace),
 // and the disabled-mode no-op contract for tracing.
@@ -213,66 +213,67 @@ TEST(ObsGauge, SetAddValue) {
 }
 
 // ----------------------------------------------------------- histograms
+//
+// The registry's one histogram type is the log-bucketed quantile sketch
+// (SketchMetric, sketch.hpp): exact count/sum/min/max, alpha-relative
+// quantiles clamped to the observed envelope, and a shard merge that is
+// identical at any thread count.
 
 TEST(ObsHistogram, SnapshotStatisticsExact) {
-  obs::Histogram& h = obs::histogram("test.hist.stats");
+  obs::SketchMetric& h = obs::sketch("test.hist.stats");
   h.reset();
   for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
-  const obs::Histogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.sum, 5050.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-  // Percentiles are bucket estimates, not exact order statistics: require
-  // ordering and range, not equality.
-  EXPECT_LE(s.p50, s.p95);
-  EXPECT_LE(s.p95, s.p99);
-  EXPECT_GE(s.p50, s.min);
-  EXPECT_LE(s.p99, s.max);
-  EXPECT_NEAR(s.p50, 50.0, 25.0);
-}
-
-TEST(ObsHistogram, CustomBoundsBucketing) {
-  obs::Histogram& h =
-      obs::histogram("test.hist.custom", {1.0, 10.0, 100.0});
-  h.reset();
-  h.observe(0.5);    // bucket 0 (<= 1)
-  h.observe(5.0);    // bucket 1 (<= 10)
-  h.observe(50.0);   // bucket 2 (<= 100)
-  h.observe(500.0);  // overflow bucket
-  const obs::Histogram::Snapshot s = h.snapshot();
-  ASSERT_EQ(s.bounds.size(), 3u);
-  ASSERT_EQ(s.buckets.size(), 4u);
-  EXPECT_EQ(s.buckets[0], 1u);
-  EXPECT_EQ(s.buckets[1], 1u);
-  EXPECT_EQ(s.buckets[2], 1u);
-  EXPECT_EQ(s.buckets[3], 1u);
+  const obs::QuantileSketch s = h.merged();
+  EXPECT_EQ(s.count(), 100u);
+  EXPECT_DOUBLE_EQ(s.sum(), 5050.0);
+  EXPECT_DOUBLE_EQ(s.min(), 1.0);
+  EXPECT_DOUBLE_EQ(s.max(), 100.0);
+  const double p50 = s.quantile(0.50);
+  const double p95 = s.quantile(0.95);
+  const double p99 = s.quantile(0.99);
+  EXPECT_LE(p50, p95);
+  EXPECT_LE(p95, p99);
+  EXPECT_GE(p50, s.min());
+  EXPECT_LE(p99, s.max());
+  // Relative-error guarantee (2 * alpha for the rank discretization).
+  EXPECT_NEAR(p50, 50.0, 0.02 * 50.0);
+  EXPECT_NEAR(p99, 99.0, 0.02 * 99.0);
 }
 
 TEST(ObsHistogram, PercentileClampedToObservedRange) {
-  obs::Histogram& h = obs::histogram("test.hist.clamp");
+  obs::SketchMetric& h = obs::sketch("test.hist.clamp");
   h.reset();
-  // All mass in one default bucket: interpolation inside the bucket must
-  // still never escape [min, max].
+  // All mass in one bucket: the bucket midpoint must still never escape
+  // [min, max].
   for (int i = 0; i < 50; ++i) h.observe(3.3);
-  EXPECT_DOUBLE_EQ(h.percentile(50.0), 3.3);
-  EXPECT_DOUBLE_EQ(h.percentile(99.0), 3.3);
+  const obs::QuantileSketch s = h.merged();
+  EXPECT_DOUBLE_EQ(s.quantile(0.50), 3.3);
+  EXPECT_DOUBLE_EQ(s.quantile(0.99), 3.3);
 }
 
 TEST(ObsHistogram, CountExactUnderConcurrentObserves) {
   ThreadGuard guard;
-  util::set_num_threads(4);
-  obs::Histogram& h = obs::histogram("test.hist.concurrent");
-  h.reset();
   constexpr std::int64_t kN = 10000;
-  util::parallel_for(0, kN, 64, [&](std::int64_t i) {
-    h.observe(static_cast<double>(i % 7));
-  });
-  const obs::Histogram::Snapshot s = h.snapshot();
-  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kN));
-  EXPECT_DOUBLE_EQ(s.min, 0.0);
-  EXPECT_DOUBLE_EQ(s.max, 6.0);
+  // Same multiset of values observed from 1 and from 4 threads: the count
+  // is exact and the merged quantiles are identical, bit for bit.
+  auto run = [&](int threads, const std::string& name) {
+    util::set_num_threads(threads);
+    obs::SketchMetric& h = obs::sketch(name);
+    h.reset();
+    util::parallel_for(0, kN, 64, [&](std::int64_t i) {
+      h.observe(static_cast<double>(i % 7) + 0.5);
+    });
+    return h.merged();
+  };
+  const obs::QuantileSketch one = run(1, "test.hist.concurrent1");
+  const obs::QuantileSketch four = run(4, "test.hist.concurrent4");
+  EXPECT_EQ(four.count(), static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(four.count(), one.count());
+  EXPECT_EQ(four.bucket_count(), one.bucket_count());
+  EXPECT_DOUBLE_EQ(four.min(), 0.5);
+  EXPECT_DOUBLE_EQ(four.max(), 6.5);
+  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0})
+    EXPECT_EQ(four.quantile(q), one.quantile(q)) << "q=" << q;
 }
 
 // ------------------------------------------------------------- registry
@@ -291,7 +292,7 @@ TEST(ObsRegistry, GetOrCreateReturnsStableAddresses) {
 TEST(ObsRegistry, JsonExportIsWellFormed) {
   obs::counter("test.export.counter").inc(3);
   obs::gauge("test.export.gauge").set(-1.25);
-  obs::histogram("test.export.hist").observe(2.0);
+  obs::sketch("test.export.hist").observe(2.0);
   const std::string json = obs::Registry::instance().to_json();
   EXPECT_TRUE(JsonValidator(json).valid()) << json;
   EXPECT_NE(json.find("orev-metrics-v1"), std::string::npos);
@@ -411,11 +412,11 @@ TEST(ObsTimer, MonotoneAndLaps) {
 }
 
 TEST(ObsTimer, ScopedTimerObservesIntoHistogram) {
-  obs::Histogram& h = obs::histogram("test.scoped.timer");
+  obs::SketchMetric& h = obs::sketch("test.scoped.timer");
   h.reset();
   { const obs::ScopedTimerMs t(h); }
   EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.snapshot().min, 0.0);
+  EXPECT_GE(h.merged().min(), 0.0);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <string>
@@ -17,6 +18,7 @@
 #include "serve/burnrate.hpp"
 #include "util/check.hpp"
 #include "util/obs/obs.hpp"
+#include "util/persist/bytes.hpp"
 
 namespace orev {
 namespace {
@@ -136,6 +138,77 @@ TEST(QuantileSketch, ResetEmptiesEverything) {
   EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(s.min(), 0.0);
   EXPECT_DOUBLE_EQ(s.max(), 0.0);
+}
+
+TEST(QuantileSketch, NonFiniteValuesAreRefused) {
+  // NaN and ±inf carry no rank; a NaN reaching the log-bucket index would
+  // be an undefined int32 cast. The sketch is also the defense plane's
+  // adaptive-threshold store, so a refused value must leave every field
+  // and the checkpoint bytes exactly as they were.
+  obs::QuantileSketch s(0.01);
+  for (int i = 1; i <= 200; ++i) s.observe(0.25 * i);
+  s.observe(-1.0);
+  persist::ByteWriter before;
+  s.save(before);
+  const double sum = s.sum();
+  const std::vector<double> qs = {0.0, 0.5, 0.9, 0.99, 1.0};
+  std::vector<double> ref;
+  for (const double q : qs) ref.push_back(s.quantile(q));
+
+  s.observe(std::numeric_limits<double>::quiet_NaN());
+  s.observe(std::numeric_limits<double>::infinity());
+  s.observe(-std::numeric_limits<double>::infinity());
+  EXPECT_EQ(s.count(), 201u);
+  EXPECT_EQ(s.sum(), sum);
+  EXPECT_DOUBLE_EQ(s.min(), -1.0);
+  EXPECT_DOUBLE_EQ(s.max(), 50.0);
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    EXPECT_EQ(s.quantile(qs[i]), ref[i]) << "q=" << qs[i];
+
+  persist::ByteWriter after;
+  s.save(after);
+  EXPECT_EQ(after.buffer(), before.buffer());
+  obs::QuantileSketch loaded(0.05);
+  persist::ByteReader r(after.buffer());
+  ASSERT_TRUE(loaded.load(r));
+  EXPECT_EQ(loaded.count(), s.count());
+  EXPECT_EQ(loaded.sum(), sum);
+  for (std::size_t i = 0; i < qs.size(); ++i)
+    EXPECT_EQ(loaded.quantile(qs[i]), ref[i]) << "q=" << qs[i];
+
+  // The registry metric refuses them on the same path.
+  obs::SketchMetric& m = obs::sketch("test.sketch.nonfinite");
+  m.reset();
+  m.observe(std::numeric_limits<double>::quiet_NaN());
+  m.observe(2.0);
+  EXPECT_EQ(m.count(), 1u);
+}
+
+TEST(QuantileSketch, RegistryDenseShardsMatchAPlainSketch) {
+  // The registry metric buckets densely per shard; merged, it must be the
+  // very sketch a plain QuantileSketch builds from the same values.
+  obs::SketchMetric& m = obs::sketch("test.sketch.dense", 0.01);
+  m.reset();
+  obs::QuantileSketch plain(0.01);
+  std::mt19937_64 rng(11);
+  std::lognormal_distribution<double> dist(0.0, 4.0);  // ~1e-7 .. 1e7
+  for (int i = 0; i < 4000; ++i) {
+    const double v = i % 97 == 0 ? -0.5 : dist(rng);
+    m.observe(v);
+    plain.observe(v);
+  }
+  const obs::QuantileSketch merged = m.merged();
+  EXPECT_EQ(merged.count(), plain.count());
+  EXPECT_EQ(merged.bucket_count(), plain.bucket_count());
+  EXPECT_EQ(merged.sum(), plain.sum());
+  EXPECT_EQ(merged.min(), plain.min());
+  EXPECT_EQ(merged.max(), plain.max());
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0})
+    EXPECT_EQ(merged.quantile(q), plain.quantile(q)) << "q=" << q;
+  persist::ByteWriter a, b;
+  merged.save(a);
+  plain.save(b);
+  EXPECT_EQ(a.buffer(), b.buffer());
 }
 
 TEST(QuantileSketch, RegistrySketchMetricMergesShards) {
