@@ -394,123 +394,56 @@ CitySimResult run_citysim(const fault::FaultPlan& plan,
   return out;
 }
 
-void append_citysim_json(std::string& json, const char* name,
-                         const CitySimResult& r) {
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"%s\": {\n"
-      "    \"events\": %llu,\n"
-      "    \"reports\": %llu,\n"
-      "    \"frames_delivered\": %llu,\n"
-      "    \"frames_lost\": %llu,\n"
-      "    \"frame_retries\": %llu,\n"
-      "    \"handovers_cross\": %llu,\n"
-      "    \"availability\": %.6f,\n"
-      "    \"event_digest\": \"%s\",\n",
-      name, static_cast<unsigned long long>(r.events),
-      static_cast<unsigned long long>(r.reports),
-      static_cast<unsigned long long>(r.frames_delivered),
-      static_cast<unsigned long long>(r.frames_lost),
-      static_cast<unsigned long long>(r.frame_retries),
-      static_cast<unsigned long long>(r.handovers_cross), r.avail,
-      r.event_digest.c_str());
-  json += buf;
-  json += "    \"faults\": " + r.injector_stats + "\n  },\n";
+void write_citysim(json::Writer& w, const char* name,
+                   const CitySimResult& r) {
+  w.key(name).begin_object().field("events", r.events);
+  w.field("reports", r.reports).field("frames_delivered", r.frames_delivered);
+  w.field("frames_lost", r.frames_lost);
+  w.field("frame_retries", r.frame_retries);
+  w.field("handovers_cross", r.handovers_cross);
+  w.field("availability", r.avail).field("event_digest", r.event_digest);
+  w.key("faults").raw(r.injector_stats).end_object();
 }
 
-void append_near_rt_json(std::string& json, const char* name,
-                         const NearRtResult& r) {
-  char buf[1280];
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"%s\": {\n"
-      "    \"iters\": %llu,\n"
-      "    \"availability\": %.6f,\n"
-      "    \"informed_rate\": %.6f,\n"
-      "    \"served\": %llu,\n"
-      "    \"informed\": %llu,\n"
-      "    \"fallback_classifications\": %llu,\n"
-      "    \"failsafe_controls\": %llu,\n"
-      "    \"retransmissions\": %llu,\n"
-      "    \"outages\": %llu,\n"
-      "    \"longest_outage\": %llu,\n"
-      "    \"indications_dropped\": %llu,\n"
-      "    \"xapp_faults\": %llu,\n"
-      "    \"quarantined_skips\": %llu,\n"
-      "    \"breaker_opens\": %llu,\n"
-      "    \"sdl_write_failures\": %llu,\n"
-      "    \"controls_dropped\": %llu,\n"
-      "    \"controls_failed\": %llu,\n"
-      "    \"telemetry_failures\": %llu,\n"
-      "    \"serve_degraded\": %llu,\n"
-      "    \"serve_shed\": %llu,\n"
-      "    \"defense_screened\": %llu,\n"
-      "    \"defense_flagged\": %llu,\n"
-      "    \"review_passes\": %llu,\n"
-      "    \"swap_attempts\": %llu,\n"
-      "    \"swaps_accepted\": %llu,\n"
-      "    \"swaps_rejected\": %llu,\n",
-      name, static_cast<unsigned long long>(r.iters), r.availability(),
-      r.informed_rate(), static_cast<unsigned long long>(r.served),
-      static_cast<unsigned long long>(r.informed),
-      static_cast<unsigned long long>(r.fallbacks),
-      static_cast<unsigned long long>(r.failsafes),
-      static_cast<unsigned long long>(r.retransmissions),
-      static_cast<unsigned long long>(r.outages),
-      static_cast<unsigned long long>(r.longest_outage),
-      static_cast<unsigned long long>(r.indications_dropped),
-      static_cast<unsigned long long>(r.xapp_faults),
-      static_cast<unsigned long long>(r.quarantined_skips),
-      static_cast<unsigned long long>(r.breaker_opens),
-      static_cast<unsigned long long>(r.sdl_write_failures),
-      static_cast<unsigned long long>(r.controls_dropped),
-      static_cast<unsigned long long>(r.controls_failed),
-      static_cast<unsigned long long>(r.telemetry_failures),
-      static_cast<unsigned long long>(r.serve_degraded),
-      static_cast<unsigned long long>(r.serve_shed),
-      static_cast<unsigned long long>(r.defense_screened),
-      static_cast<unsigned long long>(r.defense_flagged),
-      static_cast<unsigned long long>(r.review_passes),
-      static_cast<unsigned long long>(r.swap_attempts),
-      static_cast<unsigned long long>(r.swaps_accepted),
-      static_cast<unsigned long long>(r.swaps_rejected));
-  json += buf;
-  json += "    \"faults\": " + r.injector_stats + "\n  },\n";
+void write_near_rt(json::Writer& w, const char* name, const NearRtResult& r) {
+  w.key(name).begin_object().field("iters", r.iters);
+  w.field("availability", r.availability());
+  w.field("informed_rate", r.informed_rate());
+  w.field("served", r.served).field("informed", r.informed);
+  w.field("fallback_classifications", r.fallbacks);
+  w.field("failsafe_controls", r.failsafes);
+  w.field("retransmissions", r.retransmissions);
+  w.field("outages", r.outages).field("longest_outage", r.longest_outage);
+  w.field("indications_dropped", r.indications_dropped);
+  w.field("xapp_faults", r.xapp_faults);
+  w.field("quarantined_skips", r.quarantined_skips);
+  w.field("breaker_opens", r.breaker_opens);
+  w.field("sdl_write_failures", r.sdl_write_failures);
+  w.field("controls_dropped", r.controls_dropped);
+  w.field("controls_failed", r.controls_failed);
+  w.field("telemetry_failures", r.telemetry_failures);
+  w.field("serve_degraded", r.serve_degraded).field("serve_shed", r.serve_shed);
+  w.field("defense_screened", r.defense_screened);
+  w.field("defense_flagged", r.defense_flagged);
+  w.field("review_passes", r.review_passes);
+  w.field("swap_attempts", r.swap_attempts);
+  w.field("swaps_accepted", r.swaps_accepted);
+  w.field("swaps_rejected", r.swaps_rejected);
+  w.key("faults").raw(r.injector_stats).end_object();
 }
 
-void append_non_rt_json(std::string& json, const char* name,
-                        const NonRtResult& r) {
-  char buf[768];
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"%s\": {\n"
-      "    \"periods\": %llu,\n"
-      "    \"decision_availability\": %.6f,\n"
-      "    \"decided_fresh\": %llu,\n"
-      "    \"fallback_periods\": %llu,\n"
-      "    \"failsafe_periods\": %llu,\n"
-      "    \"collect_failures\": %llu,\n"
-      "    \"publish_failures\": %llu,\n"
-      "    \"rapp_faults\": %llu,\n"
-      "    \"policies_sent\": %llu,\n"
-      "    \"policies_delivered\": %llu,\n"
-      "    \"serve_degraded\": %llu,\n"
-      "    \"serve_shed\": %llu,\n",
-      name, static_cast<unsigned long long>(r.periods),
-      r.decision_availability(),
-      static_cast<unsigned long long>(r.decided),
-      static_cast<unsigned long long>(r.fallbacks),
-      static_cast<unsigned long long>(r.failsafes),
-      static_cast<unsigned long long>(r.collect_failures),
-      static_cast<unsigned long long>(r.publish_failures),
-      static_cast<unsigned long long>(r.rapp_faults),
-      static_cast<unsigned long long>(r.policies_sent),
-      static_cast<unsigned long long>(r.policies_delivered),
-      static_cast<unsigned long long>(r.serve_degraded),
-      static_cast<unsigned long long>(r.serve_shed));
-  json += buf;
-  json += "    \"faults\": " + r.injector_stats + "\n  },\n";
+void write_non_rt(json::Writer& w, const char* name, const NonRtResult& r) {
+  w.key(name).begin_object().field("periods", r.periods);
+  w.field("decision_availability", r.decision_availability());
+  w.field("decided_fresh", r.decided).field("fallback_periods", r.fallbacks);
+  w.field("failsafe_periods", r.failsafes);
+  w.field("collect_failures", r.collect_failures);
+  w.field("publish_failures", r.publish_failures);
+  w.field("rapp_faults", r.rapp_faults);
+  w.field("policies_sent", r.policies_sent);
+  w.field("policies_delivered", r.policies_delivered);
+  w.field("serve_degraded", r.serve_degraded).field("serve_shed", r.serve_shed);
+  w.key("faults").raw(r.injector_stats).end_object();
 }
 
 }  // namespace
@@ -588,30 +521,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(city.frame_retries),
               static_cast<unsigned long long>(city.reports));
 
-  std::string json = "{\n";
-  append_near_rt_json(json, "near_rt_with_recovery", with);
-  append_near_rt_json(json, "near_rt_without_recovery", without);
-  append_non_rt_json(json, "non_rt_with_recovery", nwith);
-  append_non_rt_json(json, "non_rt_without_recovery", nwithout);
-  append_citysim_json(json, "citysim", city);
-  char tail[128];
-  std::snprintf(tail, sizeof(tail), "  \"plan_seed\": %llu\n}\n",
-                static_cast<unsigned long long>(plan.seed));
-  json += tail;
-  {
-    std::error_code ec;
-    const std::filesystem::path p(report_out);
-    if (p.has_parent_path())
-      std::filesystem::create_directories(p.parent_path(), ec);
-    std::FILE* f = std::fopen(report_out.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write report %s\n", report_out.c_str());
-      return 2;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("\n[chaos] wrote report to %s\n", report_out.c_str());
-  }
+  json::Writer w;
+  w.begin_object();
+  write_near_rt(w, "near_rt_with_recovery", with);
+  write_near_rt(w, "near_rt_without_recovery", without);
+  write_non_rt(w, "non_rt_with_recovery", nwith);
+  write_non_rt(w, "non_rt_without_recovery", nwithout);
+  write_citysim(w, "citysim", city);
+  w.field("plan_seed", plan.seed).end_object();
+  write_report(report_out, w.str());
 
   CsvWriter csv;
   csv.header({"loop", "recovery", "availability", "informed_rate",

@@ -310,79 +310,55 @@ SdlRun run_sdl_contention(std::size_t stripes, int threads, int workers,
 
 // ------------------------------------------------------------ JSON report
 
-void write_report(const std::string& path, const citysim::CityConfig& cfg,
-                  std::uint64_t epochs, int passes,
-                  const std::vector<ScaleRun>& scale, bool byte_identical,
-                  std::uint64_t codec_inds, const CodecSide& tensor,
-                  const CodecSide& binary, bool alloc_win,
-                  const char* throughput, std::uint64_t rejects,
-                  const SdlRun& sdl_single, const SdlRun& sdl_striped,
-                  bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    std::printf("[report] FAILED to open %s\n", path.c_str());
-    return;
+std::string report_json(const citysim::CityConfig& cfg, std::uint64_t epochs,
+                        int passes, const std::vector<ScaleRun>& scale,
+                        bool byte_identical, std::uint64_t codec_inds,
+                        const CodecSide& tensor, const CodecSide& binary,
+                        bool alloc_win, const char* throughput,
+                        std::uint64_t rejects, const SdlRun& sdl_single,
+                        const SdlRun& sdl_striped, bool pass) {
+  json::Writer w;
+  w.begin_object().field("schema", "orev-cityscale-bench-v1");
+  w.key("config").begin_object().field("cells", cfg.cells);
+  w.field("ues", cfg.ues).field("shards", cfg.shards).field("epochs", epochs);
+  w.field("passes", passes).field("features", cfg.features);
+  w.field("seed", cfg.seed).end_object().key("scale").begin_array();
+  for (const ScaleRun& r : scale) {
+    w.begin_object().field("threads", r.threads).field("pass", r.pass);
+    w.field("wall_seconds", r.wall_seconds);
+    w.field("ue_epochs_per_sec", r.ue_epochs_per_sec);
+    w.field("indications_per_sec", r.indications_per_sec);
+    w.field("events", r.stats.events).field("reports", r.stats.reports);
+    w.field("handovers_cross", r.stats.handovers_cross);
+    w.field("event_digest", r.event_digest).end_object();
   }
-  std::fprintf(f, "{\n  \"schema\": \"orev-cityscale-bench-v1\",\n");
-  std::fprintf(f,
-               "  \"config\": {\"cells\": %u, \"ues\": %u, \"shards\": %u, "
-               "\"epochs\": %llu, \"passes\": %d, \"features\": %u, "
-               "\"seed\": %llu},\n",
-               cfg.cells, cfg.ues, cfg.shards,
-               static_cast<unsigned long long>(epochs), passes, cfg.features,
-               static_cast<unsigned long long>(cfg.seed));
-  std::fprintf(f, "  \"scale\": [\n");
-  for (std::size_t i = 0; i < scale.size(); ++i) {
-    const ScaleRun& r = scale[i];
-    std::fprintf(
-        f,
-        "    {\"threads\": %d, \"pass\": %d, \"wall_seconds\": %.6f, "
-        "\"ue_epochs_per_sec\": %.1f, \"indications_per_sec\": %.1f, "
-        "\"events\": %llu, \"reports\": %llu, \"handovers_cross\": %llu, "
-        "\"event_digest\": \"%s\"}%s\n",
-        r.threads, r.pass, r.wall_seconds, r.ue_epochs_per_sec,
-        r.indications_per_sec, static_cast<unsigned long long>(r.stats.events),
-        static_cast<unsigned long long>(r.stats.reports),
-        static_cast<unsigned long long>(r.stats.handovers_cross),
-        r.event_digest.c_str(), i + 1 < scale.size() ? "," : "");
+  const std::string none;
+  w.end_array().key("determinism").begin_object();
+  w.field("byte_identical", byte_identical);
+  w.field("event_digest", scale.empty() ? none : scale.front().event_digest);
+  w.field("state_digest", scale.empty() ? none : scale.front().state_digest);
+  w.end_object().key("codec").begin_object();
+  w.field("indications", codec_inds);
+  for (const auto& [name, c] : {std::pair{"tensor", &tensor},
+                                std::pair{"binary", &binary}}) {
+    w.key(name).begin_object().field("wall_seconds", c->wall_seconds);
+    w.field("inds_per_sec", c->inds_per_sec);
+    w.field("worst_inds_per_sec", c->worst_inds_per_sec);
+    w.field("allocs_per_ind", c->allocs_per_ind).end_object();
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"determinism\": {\"byte_identical\": %s, "
-               "\"event_digest\": \"%s\", \"state_digest\": \"%s\"},\n",
-               byte_identical ? "true" : "false",
-               scale.empty() ? "" : scale.front().event_digest.c_str(),
-               scale.empty() ? "" : scale.front().state_digest.c_str());
-  std::fprintf(
-      f,
-      "  \"codec\": {\"indications\": %llu,\n"
-      "    \"tensor\": {\"wall_seconds\": %.6f, \"inds_per_sec\": %.1f, "
-      "\"worst_inds_per_sec\": %.1f, \"allocs_per_ind\": %.3f},\n"
-      "    \"binary\": {\"wall_seconds\": %.6f, \"inds_per_sec\": %.1f, "
-      "\"worst_inds_per_sec\": %.1f, \"allocs_per_ind\": %.3f},\n"
-      "    \"alloc_win\": %s, \"throughput_vs_tensor\": %.3f, "
-      "\"throughput\": \"%s\", \"frames_rejected\": %llu},\n",
-      static_cast<unsigned long long>(codec_inds), tensor.wall_seconds,
-      tensor.inds_per_sec, tensor.worst_inds_per_sec, tensor.allocs_per_ind,
-      binary.wall_seconds, binary.inds_per_sec, binary.worst_inds_per_sec,
-      binary.allocs_per_ind, alloc_win ? "true" : "false",
-      binary.inds_per_sec / tensor.inds_per_sec, throughput,
-      static_cast<unsigned long long>(rejects));
-  std::fprintf(
-      f,
-      "  \"sdl\": {\n"
-      "    \"single_stripe\": {\"stripes\": %zu, \"wall_seconds\": %.6f, "
-      "\"writes_per_sec\": %.1f, \"contentions\": %llu},\n"
-      "    \"striped\": {\"stripes\": %zu, \"wall_seconds\": %.6f, "
-      "\"writes_per_sec\": %.1f, \"contentions\": %llu}},\n",
-      sdl_single.stripes, sdl_single.wall_seconds, sdl_single.writes_per_sec,
-      static_cast<unsigned long long>(sdl_single.contentions),
-      sdl_striped.stripes, sdl_striped.wall_seconds,
-      sdl_striped.writes_per_sec,
-      static_cast<unsigned long long>(sdl_striped.contentions));
-  std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-  std::fclose(f);
-  std::printf("[report] wrote %s\n", path.c_str());
+  w.field("alloc_win", alloc_win);
+  w.field("throughput_vs_tensor", binary.inds_per_sec / tensor.inds_per_sec);
+  w.field("throughput", throughput).field("frames_rejected", rejects);
+  w.end_object().key("sdl").begin_object();
+  for (const auto& [name, r] : {std::pair{"single_stripe", &sdl_single},
+                                std::pair{"striped", &sdl_striped}}) {
+    w.key(name).begin_object().field("stripes", r->stripes);
+    w.field("wall_seconds", r->wall_seconds);
+    w.field("writes_per_sec", r->writes_per_sec);
+    w.field("contentions", r->contentions).end_object();
+  }
+  w.end_object().field("pass", pass).end_object();
+  return w.str();
 }
 
 }  // namespace
@@ -477,9 +453,11 @@ int main(int argc, char** argv) {
   print_rule();
   std::printf("cityscale bench: %s\n", pass ? "PASS" : "FAIL");
   if (!report_out.empty()) {
-    write_report(report_out, cfg, epochs, passes, scale, byte_identical,
-                 codec_inds, tensor, binary, alloc_win, throughput, rejects,
-                 sdl_single, sdl_striped, pass);
+    write_report(report_out,
+                 report_json(cfg, epochs, passes, scale, byte_identical,
+                             codec_inds, tensor, binary, alloc_win,
+                             throughput, rejects, sdl_single, sdl_striped,
+                             pass));
   }
   return pass ? 0 : 1;
 }

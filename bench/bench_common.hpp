@@ -1,7 +1,7 @@
 // Shared fixtures for the benchmark suite: the spectrogram/KPM/PRB corpora
 // at benchmark scale, victim training, the five-candidate surrogate list,
-// table-printing helpers, and the one argv scanner (scan_flags) behind
-// every bench's command line.
+// table-printing helpers, the one argv scanner (scan_flags) behind every
+// bench's command line, and the one report writer (write_report).
 //
 // Scale note: the paper trains ImageNet-class surrogates on GPUs over
 // 3,000 RGB 128×128 spectrograms. The benchmarks run the same pipeline on
@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -34,7 +35,9 @@
 #include "rictest/dataset.hpp"
 #include "util/csv.hpp"
 #include "util/fault/fault.hpp"
+#include "util/json.hpp"
 #include "util/obs/obs.hpp"
+#include "util/persist/persist.hpp"
 #include "util/thread_pool.hpp"
 
 namespace orev::bench {
@@ -141,6 +144,22 @@ inline fault::FaultPlan load_fault_plan(const std::string& path,
   return plan;
 }
 
+/// Write a report (a JSON document from json::Writer, or any text
+/// artifact) to `path`, creating its parent directory, through
+/// persist::atomic_write_file. A failed write is fatal: the bench exits
+/// with status 2.
+inline void write_report(const std::string& path, std::string_view text) {
+  std::error_code ec;
+  const std::filesystem::path p(path);
+  if (p.has_parent_path())
+    std::filesystem::create_directories(p.parent_path(), ec);
+  if (!persist::atomic_write_file(path, text, /*sync=*/false).ok()) {
+    std::fprintf(stderr, "cannot write report %s\n", path.c_str());
+    std::exit(2);
+  }
+  std::printf("[report] wrote %s\n", path.c_str());
+}
+
 /// Monotonic wall-clock timer for CSV reporting. The observability layer's
 /// timer, re-exported: `seconds()` as before, plus `elapsed_ns()` /
 /// `lap_ns()` / `lap_seconds()` / `reset()` for finer-grained loops.
@@ -199,7 +218,7 @@ class ObsGuard {
   ~ObsGuard() {
     if (injector_ != nullptr) {
       fault::set_global_injector(nullptr);
-      std::printf("[fault] %s\n", injector_->stats_json().c_str());
+      std::printf("[fault] %s", injector_->stats_json().c_str());
     }
     if (!metrics_out_.empty()) {
       if (obs::Registry::instance().save_json(metrics_out_)) {

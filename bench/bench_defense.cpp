@@ -751,7 +751,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(loop1.adaptive_held),
       static_cast<unsigned long long>(loop1.adaptive_clamped));
   std::printf(
-      "[closed-loop] swap: broken %s (\"%s\"), hardened %s (\"%s\") "
+      "[closed-loop] swap: broken %s ('%s'), hardened %s ('%s') "
       "epoch=%llu  queue=%zu agreement %.3f -> %.3f\n",
       loop1.reject_report.accepted ? "ACCEPTED" : "refused",
       loop1.reject_report.reason.c_str(),
@@ -809,112 +809,68 @@ int main(int argc, char** argv) {
                     swap_ok && crash_ok && overhead_ok;
 
   // ---- deterministic JSON report (no wall-clock fields) ----------------
-  {
-    std::error_code ec;
-    const std::filesystem::path out(f.report_out);
-    if (out.has_parent_path())
-      std::filesystem::create_directories(out.parent_path(), ec);
-    std::FILE* fp = std::fopen(f.report_out.c_str(), "w");
-    if (fp == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", f.report_out.c_str());
-      return 2;
-    }
-    std::fprintf(fp, "{\n  \"schema\": \"orev-defense-bench-v2\",\n");
-    std::fprintf(
-        fp,
-        "  \"config\": {\"flows\": %d, \"warmup_rounds\": %d, \"rounds\": "
-        "%d, \"attack_fraction\": %.4f, \"eps\": %.4f, \"requests\": %zu, "
-        "\"adversarial\": %d, \"pgm_slots\": %d, \"uap_slots\": %d, "
-        "\"uap_fooling\": %.4f, \"min_auc\": %.4f},\n",
-        f.flows, f.warmup, f.rounds, f.attack_fraction,
-        static_cast<double>(f.eps), traffic.requests.size(),
-        traffic.adversarial, n_pgm, n_uap, traffic.uap_fooling, f.min_auc);
-    auto phase_json = [&fp](const char* name, const DefenseRun& t1,
-                            const DefenseRun& t4, double auc_pgm,
-                            double auc_uap, bool identical) {
-      std::fprintf(
-          fp,
-          "  \"%s\": {\"auc_pgm\": %.6f, \"auc_uap\": %.6f, "
-          "\"screened\": %llu, \"flagged\": %llu, \"quarantined\": %llu, "
-          "\"bursts\": %llu, \"degraded_syncs\": %llu, \"rejected\": %llu, "
-          "\"digest_t1\": \"%s\", \"digest_t4\": \"%s\", "
-          "\"byte_identical\": %s},\n",
-          name, auc_pgm, auc_uap,
-          static_cast<unsigned long long>(t1.screened),
-          static_cast<unsigned long long>(t1.flagged),
-          static_cast<unsigned long long>(t1.quarantined_status),
-          static_cast<unsigned long long>(t1.bursts),
-          static_cast<unsigned long long>(t1.slo.degraded_syncs),
-          static_cast<unsigned long long>(t1.slo.rejected),
-          t1.digest.c_str(), t4.digest.c_str(),
-          identical ? "true" : "false");
-    };
-    phase_json("contention", cont1, cont4, cont_auc_pgm, cont_auc_uap,
-               cont_identical);
-    phase_json("chaos", chaos1, chaos4, chaos_auc_pgm, chaos_auc_uap,
-               chaos_identical);
-    std::fprintf(
-        fp,
-        "  \"hardening\": {\"queue\": %zu, \"dropped\": %llu, \"epochs\": "
-        "%d, \"agreement_before\": %.6f, \"agreement_after\": %.6f},\n",
-        cont1.finetune_size,
-        static_cast<unsigned long long>(cont1.finetune_dropped),
-        hrep.epochs_run, agree_before, agree_after);
-    std::fprintf(
-        fp,
-        "  \"closed_loop\": {\"auc_pgm\": %.6f, \"auc_uap\": %.6f, "
-        "\"screened\": %llu, \"flagged\": %llu, \"released\": %llu, "
-        "\"confirmed\": %llu, \"evicted\": %llu, \"review_passes\": %llu, "
-        "\"release_rate\": %.6f, \"dist_threshold\": %.6f, "
-        "\"ens_threshold\": %.6f, \"adaptive_updates\": %llu, "
-        "\"adaptive_held\": %llu, \"adaptive_clamped\": %llu, "
-        "\"digest_t1\": \"%s\", \"digest_t4\": \"%s\", "
-        "\"byte_identical\": %s},\n",
-        loop_auc_pgm, loop_auc_uap,
-        static_cast<unsigned long long>(loop1.screened),
-        static_cast<unsigned long long>(loop1.flagged),
-        static_cast<unsigned long long>(loop1.released),
-        static_cast<unsigned long long>(loop1.confirmed),
-        static_cast<unsigned long long>(loop1.evicted),
-        static_cast<unsigned long long>(loop1.review_passes), release_rate,
-        loop1.dist_threshold, loop1.ens_threshold,
-        static_cast<unsigned long long>(loop1.adaptive_updates),
-        static_cast<unsigned long long>(loop1.adaptive_held),
-        static_cast<unsigned long long>(loop1.adaptive_clamped),
-        loop1.digest.c_str(), loop4.digest.c_str(),
-        loop_identical ? "true" : "false");
-    std::fprintf(
-        fp,
-        "  \"hot_swap\": {\"epoch\": %llu, \"accepted\": %llu, "
-        "\"rejected\": %llu, \"broken_refused\": %s, "
-        "\"broken_reason\": \"%s\", \"acc_current\": %.6f, "
-        "\"acc_candidate\": %.6f, \"clean_delta\": %.6f, "
-        "\"finetune_at_swap\": %zu, \"agree_before\": %.6f, "
-        "\"agree_after\": %.6f},\n",
-        static_cast<unsigned long long>(loop1.swap_epoch),
-        static_cast<unsigned long long>(loop1.swaps_accepted),
-        static_cast<unsigned long long>(loop1.swaps_rejected),
-        !loop1.reject_report.accepted ? "true" : "false",
-        loop1.reject_report.reason.c_str(), loop1.accept_report.acc_current,
-        loop1.accept_report.acc_candidate, loop1.accept_report.clean_delta,
-        loop1.finetune_at_swap, loop1.agree_before, loop1.agree_after);
-    std::fprintf(
-        fp,
-        "  \"crash_resume\": {\"kill_point_fired\": %s, \"epoch\": %llu, "
-        "\"digest\": \"%s\", \"byte_identical\": %s},\n",
-        crash.crashed ? "true" : "false",
-        static_cast<unsigned long long>(crash.swap_epoch),
-        crash.digest.c_str(), crash_identical ? "true" : "false");
-    std::fprintf(
-        fp,
-        "  \"overhead\": {\"p99_plain_us\": %llu, \"p99_loop_us\": %llu, "
-        "\"p99_overhead\": %.6f},\n",
-        static_cast<unsigned long long>(p99_plain),
-        static_cast<unsigned long long>(p99_loop), p99_overhead);
-    std::fprintf(fp, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(fp);
-    std::printf("[report] wrote %s\n", f.report_out.c_str());
-  }
+  json::Writer w;
+  w.begin_object().field("schema", "orev-defense-bench-v2");
+  w.key("config").begin_object().field("flows", f.flows);
+  w.field("warmup_rounds", f.warmup).field("rounds", f.rounds);
+  w.field("attack_fraction", f.attack_fraction).field("eps", f.eps);
+  w.field("requests", traffic.requests.size());
+  w.field("adversarial", traffic.adversarial);
+  w.field("pgm_slots", n_pgm).field("uap_slots", n_uap);
+  w.field("uap_fooling", traffic.uap_fooling).field("min_auc", f.min_auc);
+  w.end_object();
+  auto phase_json = [&w](const char* name, const DefenseRun& t1,
+                         const DefenseRun& t4, double auc_pgm, double auc_uap,
+                         bool identical) {
+    w.key(name).begin_object().field("auc_pgm", auc_pgm);
+    w.field("auc_uap", auc_uap).field("screened", t1.screened);
+    w.field("flagged", t1.flagged).field("quarantined", t1.quarantined_status);
+    w.field("bursts", t1.bursts);
+    w.field("degraded_syncs", t1.slo.degraded_syncs);
+    w.field("rejected", t1.slo.rejected).field("digest_t1", t1.digest);
+    w.field("digest_t4", t4.digest).field("byte_identical", identical);
+    w.end_object();
+  };
+  phase_json("contention", cont1, cont4, cont_auc_pgm, cont_auc_uap,
+             cont_identical);
+  phase_json("chaos", chaos1, chaos4, chaos_auc_pgm, chaos_auc_uap,
+             chaos_identical);
+  w.key("hardening").begin_object().field("queue", cont1.finetune_size);
+  w.field("dropped", cont1.finetune_dropped).field("epochs", hrep.epochs_run);
+  w.field("agreement_before", agree_before);
+  w.field("agreement_after", agree_after).end_object();
+  w.key("closed_loop").begin_object().field("auc_pgm", loop_auc_pgm);
+  w.field("auc_uap", loop_auc_uap).field("screened", loop1.screened);
+  w.field("flagged", loop1.flagged).field("released", loop1.released);
+  w.field("confirmed", loop1.confirmed).field("evicted", loop1.evicted);
+  w.field("review_passes", loop1.review_passes);
+  w.field("release_rate", release_rate);
+  w.field("dist_threshold", loop1.dist_threshold);
+  w.field("ens_threshold", loop1.ens_threshold);
+  w.field("adaptive_updates", loop1.adaptive_updates);
+  w.field("adaptive_held", loop1.adaptive_held);
+  w.field("adaptive_clamped", loop1.adaptive_clamped);
+  w.field("digest_t1", loop1.digest).field("digest_t4", loop4.digest);
+  w.field("byte_identical", loop_identical).end_object();
+  w.key("hot_swap").begin_object().field("epoch", loop1.swap_epoch);
+  w.field("accepted", loop1.swaps_accepted);
+  w.field("rejected", loop1.swaps_rejected);
+  w.field("broken_refused", !loop1.reject_report.accepted);
+  w.field("broken_reason", loop1.reject_report.reason);
+  w.field("acc_current", loop1.accept_report.acc_current);
+  w.field("acc_candidate", loop1.accept_report.acc_candidate);
+  w.field("clean_delta", loop1.accept_report.clean_delta);
+  w.field("finetune_at_swap", loop1.finetune_at_swap);
+  w.field("agree_before", loop1.agree_before);
+  w.field("agree_after", loop1.agree_after).end_object();
+  w.key("crash_resume").begin_object();
+  w.field("kill_point_fired", crash.crashed).field("epoch", crash.swap_epoch);
+  w.field("digest", crash.digest).field("byte_identical", crash_identical);
+  w.end_object().key("overhead").begin_object();
+  w.field("p99_plain_us", p99_plain).field("p99_loop_us", p99_loop);
+  w.field("p99_overhead", p99_overhead).end_object();
+  w.field("pass", pass).end_object();
+  write_report(f.report_out, w.str());
 
   CsvWriter csv;
   csv.header({"phase", "auc_pgm", "auc_uap", "quarantined", "bursts",

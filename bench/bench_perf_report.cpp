@@ -336,7 +336,11 @@ double baseline_field(const std::string& json, const std::string& name,
     return std::nan("");
   const std::size_t colon = json.find(':', f);
   if (colon == std::string::npos) return std::nan("");
-  return std::strtod(json.c_str() + colon + 1, nullptr);
+  // A non-finite value is written as null, which strtod cannot convert.
+  const char* num = json.c_str() + colon + 1;
+  char* stop = nullptr;
+  const double v = std::strtod(num, &stop);
+  return stop == num ? std::nan("") : v;
 }
 
 void diff_row(const char* label, double now, double base, const char* unit) {

@@ -274,14 +274,12 @@ GateVerdict speedup_gate(const std::vector<ServedRun>& served,
   return ratio_gate(best, worst, ref_best, ref_worst, gate);
 }
 
-void print_gate(std::FILE* fp, const char* key, const GateVerdict& g,
-                const char* suffix) {
-  std::fprintf(fp,
-               "\"%s\": {\"verdict\": \"%s\", \"served_best_rps\": %.1f, "
-               "\"served_worst_rps\": %.1f, \"ref_best_rps\": %.1f, "
-               "\"ref_worst_rps\": %.1f}%s",
-               key, g.verdict, g.served_best_rps, g.served_worst_rps,
-               g.ref_best_rps, g.ref_worst_rps, suffix);
+void write_gate(json::Writer& w, const char* key, const GateVerdict& g) {
+  w.key(key).begin_object().field("verdict", g.verdict);
+  w.field("served_best_rps", g.served_best_rps);
+  w.field("served_worst_rps", g.served_worst_rps);
+  w.field("ref_best_rps", g.ref_best_rps);
+  w.field("ref_worst_rps", g.ref_worst_rps).end_object();
 }
 
 }  // namespace
@@ -475,142 +473,91 @@ int main(int argc, char** argv) {
                     obs_gate_ok && defense_gate_ok;
 
   // ---- JSON report ------------------------------------------------------
-  {
-    std::error_code ec;
-    const std::filesystem::path out(f.report_out);
-    if (out.has_parent_path())
-      std::filesystem::create_directories(out.parent_path(), ec);
-    std::FILE* fp = std::fopen(f.report_out.c_str(), "w");
-    if (fp == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", f.report_out.c_str());
-      return 2;
-    }
-    std::fprintf(fp, "{\n  \"schema\": \"orev-serve-bench-v2\",\n");
-    std::fprintf(fp,
-                 "  \"config\": {\"cells\": %d, \"ues\": %d, \"rounds\": %d, "
-                 "\"requests\": %d, \"batch_max\": %d, \"deadline_us\": %llu, "
-                 "\"replicas\": %d, \"queue_capacity\": %d, \"passes\": %d, "
-                 "\"model\": \"%s\"},\n",
-                 f.cells, f.ues, f.rounds, n, f.batch_max,
-                 static_cast<unsigned long long>(f.deadline_us), f.replicas,
-                 f.queue_capacity, f.passes, victim.name().c_str());
-    std::fprintf(fp,
-                 "  \"unbatched\": {\"wall_seconds\": %.6f, "
-                 "\"throughput_rps\": %.1f, \"digest\": \"%s\"},\n",
-                 ref_seconds, ref_rps, ref_digest.c_str());
-    std::fprintf(fp, "  \"served\": [\n");
-    for (std::size_t i = 0; i < served.size(); ++i) {
-      const ServedRun& r = served[i];
-      std::fprintf(
-          fp,
-          "    {\"threads\": %d, \"wall_seconds\": %.6f, \"throughput_rps\": "
-          "%.1f, \"digest\": \"%s\", \"p50_latency_us\": %llu, "
-          "\"p95_latency_us\": %llu, \"p99_latency_us\": %llu, "
-          "\"p999_latency_us\": %llu, \"mean_batch_occupancy\": %.2f, "
-          "\"batches\": %llu, \"deadline_misses\": %llu, \"degraded_syncs\": "
-          "%llu, \"rejected\": %llu, \"max_queue_depth\": %llu, "
-          "\"burn\": {\"miss_short\": %.4f, \"miss_long\": %.4f, "
-          "\"avail_short\": %.4f, \"avail_long\": %.4f, \"miss_alert\": %s, "
-          "\"avail_alert\": %s}}%s\n",
-          r.threads, r.wall_seconds, r.throughput_rps, r.digest.c_str(),
-          static_cast<unsigned long long>(r.slo.p50_latency_us),
-          static_cast<unsigned long long>(r.slo.p95_latency_us),
-          static_cast<unsigned long long>(r.slo.p99_latency_us),
-          static_cast<unsigned long long>(r.slo.p999_latency_us),
-          r.slo.mean_occupancy,
-          static_cast<unsigned long long>(r.slo.batches),
-          static_cast<unsigned long long>(r.slo.deadline_misses),
-          static_cast<unsigned long long>(r.slo.degraded_syncs),
-          static_cast<unsigned long long>(r.slo.rejected),
-          static_cast<unsigned long long>(r.slo.max_queue_depth),
-          r.slo.burn.miss_short, r.slo.burn.miss_long, r.slo.burn.avail_short,
-          r.slo.burn.avail_long, r.slo.burn.miss_alert ? "true" : "false",
-          r.slo.burn.avail_alert ? "true" : "false",
-          i + 1 < served.size() ? "," : "");
-    }
-    std::fprintf(fp, "  ],\n");
-    std::fprintf(fp,
-                 "  \"attack_contention\": {\"probes\": %d, "
-                 "\"fleet_requests\": %d, \"clone_labels_match\": %s, "
-                 "\"completed\": %llu, \"mean_batch_occupancy\": %.2f},\n",
-                 probes.dim(0), n / 2, clone_match ? "true" : "false",
-                 static_cast<unsigned long long>(contended.completed),
-                 contended.mean_occupancy);
-    std::fprintf(fp,
-                 "  \"cnn\": {\"model\": \"%s\", \"requests\": %d,\n"
-                 "    \"walk\": {\"wall_seconds\": %.6f, \"throughput_rps\": "
-                 "%.1f, \"digest\": \"%s\"},\n    \"served\": [\n",
-                 cnn.name().c_str(), n, cnn_ref_seconds, cnn_ref_rps,
-                 cnn_ref_digest.c_str());
-    for (std::size_t i = 0; i < cnn_served.size(); ++i) {
-      const ServedRun& r = cnn_served[i];
-      std::fprintf(fp,
-                   "      {\"threads\": %d, \"wall_seconds\": %.6f, "
-                   "\"throughput_rps\": %.1f, \"digest\": \"%s\", "
-                   "\"mean_batch_occupancy\": %.2f}%s\n",
-                   r.threads, r.wall_seconds, r.throughput_rps,
-                   r.digest.c_str(), r.slo.mean_occupancy,
-                   i + 1 < cnn_served.size() ? "," : "");
-    }
-    std::fprintf(fp,
-                 "    ],\n    \"byte_identical\": %s, \"speedup\": %.2f, "
-                 "\"min_cnn_speedup\": %.2f, ",
-                 cnn_byte_identical ? "true" : "false", cnn_speedup,
-                 f.min_cnn_speedup);
-    print_gate(fp, "gate", cnn_speedup_verdict, "},\n");
-    std::fprintf(fp,
-                 "  \"obs\": {\"off_rps\": %.1f, \"on_rps\": %.1f, "
-                 "\"overhead_pct\": %.2f, \"max_obs_overhead_pct\": %.2f, "
-                 "\"digests_match\": %s, \"causal_spans\": %llu, "
-                 "\"gate_ok\": %s, ",
-                 obs_off.throughput_rps, obs_on.throughput_rps,
-                 obs_overhead_pct, f.max_obs_overhead_pct,
-                 obs_digest_ok ? "true" : "false",
-                 static_cast<unsigned long long>(causal_spans),
-                 obs_gate_ok ? "true" : "false");
-    print_gate(fp, "gate", obs_gate, "},\n");
-    std::fprintf(fp,
-                 "  \"defense\": {\"p99_off_us\": %llu, \"p99_on_us\": %llu, "
-                 "\"overhead_pct\": %.2f, \"max_defense_overhead_pct\": "
-                 "%.2f, \"digest_match\": %s, \"gate_ok\": %s},\n",
-                 static_cast<unsigned long long>(
-                     defense_base.slo.p99_latency_us),
-                 static_cast<unsigned long long>(
-                     defense_run.slo.p99_latency_us),
-                 defense_overhead_pct, f.max_defense_overhead_pct,
-                 defense_digest_ok ? "true" : "false",
-                 defense_gate_ok ? "true" : "false");
-    std::fprintf(fp,
-                 "  \"byte_identical\": %s,\n  \"speedup\": %.2f,\n"
-                 "  \"min_speedup\": %.2f,\n  ",
-                 byte_identical ? "true" : "false", speedup, f.min_speedup);
-    print_gate(fp, "speedup_gate", speedup_verdict, ",\n");
-    std::fprintf(fp, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(fp);
-    std::printf("[report] wrote %s\n", f.report_out.c_str());
+  json::Writer w;
+  w.begin_object().field("schema", "orev-serve-bench-v2");
+  w.key("config").begin_object();
+  w.field("cells", f.cells).field("ues", f.ues).field("rounds", f.rounds);
+  w.field("requests", n).field("batch_max", f.batch_max);
+  w.field("deadline_us", f.deadline_us).field("replicas", f.replicas);
+  w.field("queue_capacity", f.queue_capacity).field("passes", f.passes);
+  w.field("model", victim.name()).end_object();
+  w.key("unbatched").begin_object().field("wall_seconds", ref_seconds);
+  w.field("throughput_rps", ref_rps).field("digest", ref_digest);
+  w.end_object().key("served").begin_array();
+  for (const ServedRun& r : served) {
+    w.begin_object().field("threads", r.threads);
+    w.field("wall_seconds", r.wall_seconds);
+    w.field("throughput_rps", r.throughput_rps).field("digest", r.digest);
+    w.field("p50_latency_us", r.slo.p50_latency_us);
+    w.field("p95_latency_us", r.slo.p95_latency_us);
+    w.field("p99_latency_us", r.slo.p99_latency_us);
+    w.field("p999_latency_us", r.slo.p999_latency_us);
+    w.field("mean_batch_occupancy", r.slo.mean_occupancy);
+    w.field("batches", r.slo.batches);
+    w.field("deadline_misses", r.slo.deadline_misses);
+    w.field("degraded_syncs", r.slo.degraded_syncs);
+    w.field("rejected", r.slo.rejected);
+    w.field("max_queue_depth", r.slo.max_queue_depth);
+    const serve::BurnRates& b = r.slo.burn;
+    w.key("burn").begin_object().field("miss_short", b.miss_short);
+    w.field("miss_long", b.miss_long).field("avail_short", b.avail_short);
+    w.field("avail_long", b.avail_long).field("miss_alert", b.miss_alert);
+    w.field("avail_alert", b.avail_alert).end_object().end_object();
   }
+  w.end_array().key("attack_contention").begin_object();
+  w.field("probes", probes.dim(0)).field("fleet_requests", n / 2);
+  w.field("clone_labels_match", clone_match);
+  w.field("completed", contended.completed);
+  w.field("mean_batch_occupancy", contended.mean_occupancy).end_object();
+  w.key("cnn").begin_object().field("model", cnn.name());
+  w.field("requests", n).key("walk").begin_object();
+  w.field("wall_seconds", cnn_ref_seconds);
+  w.field("throughput_rps", cnn_ref_rps).field("digest", cnn_ref_digest);
+  w.end_object().key("served").begin_array();
+  for (const ServedRun& r : cnn_served) {
+    w.begin_object().field("threads", r.threads);
+    w.field("wall_seconds", r.wall_seconds);
+    w.field("throughput_rps", r.throughput_rps).field("digest", r.digest);
+    w.field("mean_batch_occupancy", r.slo.mean_occupancy).end_object();
+  }
+  w.end_array().field("byte_identical", cnn_byte_identical);
+  w.field("speedup", cnn_speedup);
+  w.field("min_cnn_speedup", f.min_cnn_speedup);
+  write_gate(w, "gate", cnn_speedup_verdict);
+  w.end_object().key("obs").begin_object();
+  w.field("off_rps", obs_off.throughput_rps);
+  w.field("on_rps", obs_on.throughput_rps);
+  w.field("overhead_pct", obs_overhead_pct);
+  w.field("max_obs_overhead_pct", f.max_obs_overhead_pct);
+  w.field("digests_match", obs_digest_ok);
+  w.field("causal_spans", causal_spans).field("gate_ok", obs_gate_ok);
+  write_gate(w, "gate", obs_gate);
+  w.end_object().key("defense").begin_object();
+  w.field("p99_off_us", defense_base.slo.p99_latency_us);
+  w.field("p99_on_us", defense_run.slo.p99_latency_us);
+  w.field("overhead_pct", defense_overhead_pct);
+  w.field("max_defense_overhead_pct", f.max_defense_overhead_pct);
+  w.field("digest_match", defense_digest_ok);
+  w.field("gate_ok", defense_gate_ok).end_object();
+  w.field("byte_identical", byte_identical).field("speedup", speedup);
+  w.field("min_speedup", f.min_speedup);
+  write_gate(w, "speedup_gate", speedup_verdict);
+  w.field("pass", pass).end_object();
+  write_report(f.report_out, w.str());
 
   // ---- digest file for CI diffing ---------------------------------------
   if (!f.digests_out.empty()) {
-    std::error_code ec;
-    const std::filesystem::path out(f.digests_out);
-    if (out.has_parent_path())
-      std::filesystem::create_directories(out.parent_path(), ec);
-    std::FILE* fp = std::fopen(f.digests_out.c_str(), "w");
-    if (fp == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", f.digests_out.c_str());
-      return 2;
-    }
-    std::fprintf(fp, "kpm walk %s\n", ref_digest.c_str());
+    std::string digests = "kpm walk " + ref_digest + "\n";
     for (const ServedRun& r : served)
-      std::fprintf(fp, "kpm served t=%d %s\n", r.threads, r.digest.c_str());
-    std::fprintf(fp, "cnn walk %s\n", cnn_ref_digest.c_str());
+      digests += "kpm served t=" + std::to_string(r.threads) + " " +
+                 r.digest + "\n";
+    digests += "cnn walk " + cnn_ref_digest + "\n";
     for (const ServedRun& r : cnn_served)
-      std::fprintf(fp, "cnn served t=%d %s\n", r.threads, r.digest.c_str());
-    std::fprintf(fp, "kpm defense t=%d %s\n", defense_run.threads,
-                 defense_run.digest.c_str());
-    std::fclose(fp);
-    std::printf("[digests] wrote %s\n", f.digests_out.c_str());
+      digests += "cnn served t=" + std::to_string(r.threads) + " " +
+                 r.digest + "\n";
+    digests += "kpm defense t=" + std::to_string(defense_run.threads) + " " +
+               defense_run.digest + "\n";
+    write_report(f.digests_out, digests);
   }
 
   print_rule();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "nn/loss.hpp"
 #include "nn/serialize.hpp"
@@ -152,7 +153,11 @@ double NormScreen::score(const std::string& key, std::uint64_t version,
       (s.linf - linf_mean_) / std::sqrt(welford_var(linf_m2_, steps_));
   // Only steps *larger* than natural are suspicious; a perfectly still
   // flow is not an attack. Stale references contribute discounted
-  // evidence (discount is 1 for a fresh reference).
+  // evidence (discount is 1 for a fresh reference). A NaN step (a
+  // non-finite feature) stays NaN, so the plane flags the row: clamped,
+  // std::max(0.0, NaN) would score it 0.
+  if (std::isnan(z_l2) || std::isnan(z_linf))
+    return std::numeric_limits<double>::quiet_NaN();
   return std::max(0.0, std::max(z_l2, z_linf)) * s.discount;
 }
 

@@ -1,5 +1,7 @@
 #include "oran/e2_codec.hpp"
 
+#include <cmath>
+
 #include "util/persist/persist.hpp"
 
 namespace orev::oran {
@@ -29,6 +31,7 @@ const char* kpm_decode_status_name(KpmDecodeStatus s) {
     case KpmDecodeStatus::kBadKind: return "bad_kind";
     case KpmDecodeStatus::kTruncated: return "truncated";
     case KpmDecodeStatus::kBadCrc: return "bad_crc";
+    case KpmDecodeStatus::kNonFinite: return "non_finite";
   }
   return "unknown";
 }
@@ -50,6 +53,11 @@ KpmDecodeStatus decode_kpm_frame(std::string_view bytes, KpmFrameView& out) {
   const std::size_t body = bytes.size() - kKpmFrameTrailerBytes;
   const std::uint32_t want = load_le<std::uint32_t>(p + body);
   if (persist::crc32c(p, body) != want) return KpmDecodeStatus::kBadCrc;
+  for (std::size_t i = 0; i < features; ++i) {
+    if (!std::isfinite(
+            load_le<float>(p + kKpmFrameHeaderBytes + i * sizeof(float))))
+      return KpmDecodeStatus::kNonFinite;
+  }
   out.cell_id = load_le<std::uint32_t>(p + 8);
   out.tti = load_le<std::uint64_t>(p + 12);
   out.kind = kind == 0 ? IndicationKind::kSpectrogram : IndicationKind::kKpm;

@@ -25,11 +25,13 @@
 //
 // Decode is persist/bytes.hpp-style defensive: every field is bounds-
 // checked before use, the declared feature count is validated against the
-// actual frame size before any feature is touched, and the trailing CRC
-// rejects bit flips. A decoded KpmFrameView points into the caller's
-// buffer; feature access goes through memcpy-based accessors because the
-// feature array sits at offset 20 — not 4-float-aligned — and casting to
-// float* would be undefined behaviour.
+// actual frame size before any feature is touched, the trailing CRC
+// rejects bit flips, and a NaN or ±inf feature is refused: the frame is
+// well-formed, but no detector downstream can score such a row. A decoded
+// KpmFrameView points into the caller's buffer; feature access goes
+// through memcpy-based accessors because the feature array sits at offset
+// 20 — not 4-float-aligned — and casting to float* would be undefined
+// behaviour.
 //
 // NearRtRic::deliver_kpm_frame decodes a frame into reusable scratch and
 // hands it to the same delivery core as deliver_indication(), so fault
@@ -69,6 +71,7 @@ enum class KpmDecodeStatus {
   kBadKind,     // indication kind byte out of range
   kTruncated,   // declared feature count exceeds the frame's actual size
   kBadCrc,      // trailing CRC mismatch (bit flip in header or payload)
+  kNonFinite,   // a feature is NaN or ±inf
 };
 
 /// Stable name for reports/tests ("ok", "bad_crc", ...).

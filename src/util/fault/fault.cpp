@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/obs/flight.hpp"
 #include "util/obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -270,23 +271,20 @@ SiteStats FaultInjector::site_stats(const std::string& site) const {
 
 std::string FaultInjector::stats_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream out;
-  out << "{\"seed\": " << plan_.seed << ", \"sites\": {";
-  bool first_site = true;
+  json::Writer w;
+  w.begin_object().field("seed", plan_.seed).key("sites").begin_object();
   for (const auto& [site, st] : sites_) {  // std::map ⇒ sorted, deterministic
-    if (!first_site) out << ", ";
-    first_site = false;
-    out << "\"" << site << "\": {\"ops\": " << st.stats.ops
-        << ", \"injected\": " << st.stats.injected;
+    w.key(site).begin_object().field("ops", st.stats.ops);
+    w.field("injected", st.stats.injected);
     for (int k = 1; k < kFaultKindCount; ++k) {
       if (st.stats.by_kind[k] == 0) continue;
-      out << ", \"" << fault_kind_name(static_cast<FaultKind>(k))
-          << "\": " << st.stats.by_kind[k];
+      w.field(fault_kind_name(static_cast<FaultKind>(k)),
+              st.stats.by_kind[k]);
     }
-    out << "}";
+    w.end_object();
   }
-  out << "}}";
-  return out.str();
+  w.end_object().end_object();
+  return w.str();
 }
 
 void FaultInjector::reset() {

@@ -5,10 +5,10 @@
 #include <cstring>
 #include <mutex>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "util/json.hpp"
 #include "util/persist/persist.hpp"
 
 namespace orev::obs {
@@ -167,50 +167,44 @@ bool causal_validate(std::string* why) {
 
 std::string causal_to_chrome_json() {
   const std::vector<CausalSpan> spans = causal_snapshot();
-  std::ostringstream os;
-  os << "{\"traceEvents\":[\n";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
+  json::Writer w;
+  w.begin_object().key("traceEvents").begin_array();
+  auto meta = [&w](const char* name, std::uint32_t tid,
+                   const std::string& label) {
+    w.begin_object().field("name", name).field("ph", "M").field("pid", 2);
+    w.field("tid", tid).key("args").begin_object().field("name", label);
+    w.end_object().end_object();
   };
   // Lane metadata: named virtual threads, ascending for determinism.
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,"
-        "\"args\":{\"name\":\"orev-causal\"}}";
-  first = false;
+  meta("process_name", 0, "orev-causal");
   std::set<std::uint32_t> seen_lanes;
   for (const CausalSpan& s : spans) seen_lanes.insert(s.lane);
-  for (const std::uint32_t lane : seen_lanes) {
-    sep();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":" << lane
-       << ",\"args\":{\"name\":\"" << lane_name(lane) << "\"}}";
-  }
+  for (const std::uint32_t lane : seen_lanes)
+    meta("thread_name", lane, lane_name(lane));
   // Spans, in deterministic record order. Timestamps are virtual µs —
   // exactly chrome's ts unit.
   std::unordered_map<std::uint64_t, const CausalSpan*> by_id;
   by_id.reserve(spans.size());
   for (const CausalSpan& s : spans) by_id.emplace(s.span_id, &s);
   for (const CausalSpan& s : spans) {
-    sep();
-    os << "{\"name\":\"" << s.name << "\",\"cat\":\"causal\",\"ph\":\"X\","
-       << "\"pid\":2,\"tid\":" << s.lane << ",\"ts\":" << s.ts_us
-       << ",\"dur\":" << s.dur_us << ",\"args\":{\"trace\":" << s.trace_id
-       << ",\"span\":" << s.span_id << ",\"parent\":" << s.parent_span_id
-       << ",\"flow_from\":" << s.flow_from << "}}";
+    w.begin_object().field("name", s.name).field("cat", "causal");
+    w.field("ph", "X").field("pid", 2).field("tid", s.lane);
+    w.field("ts", s.ts_us).field("dur", s.dur_us).key("args").begin_object();
+    w.field("trace", s.trace_id).field("span", s.span_id);
+    w.field("parent", s.parent_span_id).field("flow_from", s.flow_from);
+    w.end_object().end_object();
   }
   // Flow events for cross-lane parent links and every flow_from edge.
   // Edge ids: 2*child_span_id for the parent edge, 2*id+1 for flow_from —
   // unique because span ids are.
-  auto emit_flow = [&](const CausalSpan& from, const CausalSpan& to,
-                       std::uint64_t id) {
-    sep();
-    os << "{\"name\":\"" << to.name << "\",\"cat\":\"flow\",\"ph\":\"s\","
-       << "\"pid\":2,\"tid\":" << from.lane << ",\"ts\":" << from.ts_us
-       << ",\"id\":" << id << "}";
-    sep();
-    os << "{\"name\":\"" << to.name << "\",\"cat\":\"flow\",\"ph\":\"f\","
-       << "\"bp\":\"e\",\"pid\":2,\"tid\":" << to.lane
-       << ",\"ts\":" << to.ts_us << ",\"id\":" << id << "}";
+  auto emit_flow = [&w](const CausalSpan& from, const CausalSpan& to,
+                        std::uint64_t id) {
+    w.begin_object().field("name", to.name).field("cat", "flow");
+    w.field("ph", "s").field("pid", 2).field("tid", from.lane);
+    w.field("ts", from.ts_us).field("id", id).end_object();
+    w.begin_object().field("name", to.name).field("cat", "flow");
+    w.field("ph", "f").field("bp", "e").field("pid", 2).field("tid", to.lane);
+    w.field("ts", to.ts_us).field("id", id).end_object();
   };
   for (const CausalSpan& s : spans) {
     if (s.parent_span_id != 0) {
@@ -223,9 +217,10 @@ std::string causal_to_chrome_json() {
       if (it != by_id.end()) emit_flow(*it->second, s, 2 * s.span_id + 1);
     }
   }
-  os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":"
-     << causal_dropped() << "}}\n";
-  return os.str();
+  w.end_array().field("displayTimeUnit", "ms").key("otherData");
+  w.begin_object().field("dropped", causal_dropped()).end_object();
+  w.end_object();
+  return w.str();
 }
 
 bool save_causal_chrome_json(const std::string& path) {

@@ -1,10 +1,10 @@
 #include "util/obs/flight.hpp"
 
-#include <cstdio>
 #include <mutex>
 #include <sstream>
 #include <vector>
 
+#include "util/json.hpp"
 #include "util/obs/causal.hpp"
 #include "util/persist/persist.hpp"
 
@@ -24,29 +24,6 @@ struct FlightState {
 FlightState& state() {
   static FlightState* leaked = new FlightState();
   return *leaked;
-}
-
-std::string escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string file_tag(std::string_view reason) {
@@ -86,22 +63,18 @@ std::uint64_t flight_trigger(std::string_view reason, std::string_view detail) {
   std::lock_guard<std::mutex> lock(st.mu);
   const std::uint64_t seq = ++st.seq;
 
-  std::ostringstream os;
-  os << "{\"schema\":\"orev-flight-v1\",\"seq\":" << seq << ",\"reason\":\""
-     << escape(reason) << "\",\"detail\":\"" << escape(detail)
-     << "\",\"spans\":[";
-  bool first = true;
+  json::Writer w;
+  w.begin_object().field("schema", "orev-flight-v1").field("seq", seq);
+  w.field("reason", reason).field("detail", detail).key("spans");
+  w.begin_array();
   for (const CausalSpan& s : spans) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":\"" << escape(s.name) << "\",\"lane\":\""
-       << lane_name(s.lane) << "\",\"trace\":" << s.trace_id
-       << ",\"span\":" << s.span_id << ",\"parent\":" << s.parent_span_id
-       << ",\"flow_from\":" << s.flow_from << ",\"ts_us\":" << s.ts_us
-       << ",\"dur_us\":" << s.dur_us << '}';
+    w.begin_object().field("name", s.name).field("lane", lane_name(s.lane));
+    w.field("trace", s.trace_id).field("span", s.span_id);
+    w.field("parent", s.parent_span_id).field("flow_from", s.flow_from);
+    w.field("ts_us", s.ts_us).field("dur_us", s.dur_us).end_object();
   }
-  os << "]}\n";
-  st.last_report = os.str();
+  w.end_array().end_object();
+  st.last_report = w.str();
 
   if (!st.dir.empty()) {
     std::ostringstream path;

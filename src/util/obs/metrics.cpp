@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/persist/persist.hpp"
 
 namespace orev::obs {
@@ -17,9 +18,11 @@ namespace {
 std::uint64_t to_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
 
-/// Render a double as a JSON-legal number (finite, shortest-ish form).
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "0";
+/// Sample value in the exposition format, which spells non-finite values
+/// NaN, +Inf and -Inf.
+std::string prom_double(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   return buf;
@@ -47,35 +50,8 @@ std::string prom_help(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
+    if (c == '\\' || c == '\n') out.push_back('\\');
+    out.push_back(c == '\n' ? 'n' : c);
   }
   return out;
 }
@@ -206,19 +182,19 @@ std::string Registry::to_prometheus() const {
          << pn << ' ' << e.counter->value() << '\n';
     } else if (e.gauge) {
       os << "# TYPE " << pn << " gauge\n"
-         << pn << ' ' << json_double(e.gauge->value()) << '\n';
+         << pn << ' ' << prom_double(e.gauge->value()) << '\n';
     } else if (e.sketch) {
       const QuantileSketch s = e.sketch->merged();
       os << "# TYPE " << pn << " summary\n";
-      os << pn << "{quantile=\"0.5\"} " << json_double(s.quantile(0.50))
+      os << pn << "{quantile=\"0.5\"} " << prom_double(s.quantile(0.50))
          << '\n';
-      os << pn << "{quantile=\"0.95\"} " << json_double(s.quantile(0.95))
+      os << pn << "{quantile=\"0.95\"} " << prom_double(s.quantile(0.95))
          << '\n';
-      os << pn << "{quantile=\"0.99\"} " << json_double(s.quantile(0.99))
+      os << pn << "{quantile=\"0.99\"} " << prom_double(s.quantile(0.99))
          << '\n';
-      os << pn << "{quantile=\"0.999\"} " << json_double(s.quantile(0.999))
+      os << pn << "{quantile=\"0.999\"} " << prom_double(s.quantile(0.999))
          << '\n';
-      os << pn << "_sum " << json_double(s.sum()) << '\n';
+      os << pn << "_sum " << prom_double(s.sum()) << '\n';
       os << pn << "_count " << s.count() << '\n';
     }
   }
@@ -227,44 +203,28 @@ std::string Registry::to_prometheus() const {
 
 std::string Registry::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::ostringstream os;
-  os << "{\n  \"schema\": \"orev-metrics-v1\",\n";
-  os << "  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, e] : metrics_) {
-    if (!e.counter) continue;
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-       << "\": " << e.counter->value();
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, e] : metrics_) {
-    if (!e.gauge) continue;
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-       << "\": " << json_double(e.gauge->value());
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"sketches\": {";
-  first = true;
+  json::Writer w;
+  w.begin_object().field("schema", "orev-metrics-v1");
+  w.key("counters").begin_object();
+  for (const auto& [name, e] : metrics_)
+    if (e.counter) w.field(name, e.counter->value());
+  w.end_object().key("gauges").begin_object();
+  for (const auto& [name, e] : metrics_)
+    if (e.gauge) w.field(name, e.gauge->value());
+  w.end_object().key("sketches").begin_object();
   for (const auto& [name, e] : metrics_) {
     if (!e.sketch) continue;
     const QuantileSketch s = e.sketch->merged();
     const double mean =
         s.count() == 0 ? 0.0 : s.sum() / static_cast<double>(s.count());
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": {"
-       << "\"count\": " << s.count() << ", \"sum\": " << json_double(s.sum())
-       << ", \"mean\": " << json_double(mean)
-       << ", \"min\": " << json_double(s.min())
-       << ", \"max\": " << json_double(s.max())
-       << ", \"p50\": " << json_double(s.quantile(0.50))
-       << ", \"p95\": " << json_double(s.quantile(0.95))
-       << ", \"p99\": " << json_double(s.quantile(0.99))
-       << ", \"p999\": " << json_double(s.quantile(0.999)) << "}";
-    first = false;
+    w.key(name).begin_object().field("count", s.count());
+    w.field("sum", s.sum()).field("mean", mean).field("min", s.min());
+    w.field("max", s.max()).field("p50", s.quantile(0.50));
+    w.field("p95", s.quantile(0.95)).field("p99", s.quantile(0.99));
+    w.field("p999", s.quantile(0.999)).end_object();
   }
-  os << (first ? "" : "\n  ") << "}\n}\n";
-  return os.str();
+  w.end_object().end_object();
+  return w.str();
 }
 
 bool Registry::save_json(const std::string& path) const {

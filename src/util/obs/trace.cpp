@@ -1,12 +1,10 @@
 #include "util/obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
+#include "util/json.hpp"
 #include "util/obs/metrics.hpp"
 #include "util/persist/persist.hpp"
 #include "util/obs/timer.hpp"
@@ -96,48 +94,18 @@ void trace_clear() {
   for (TraceEvent& e : r.slots) e = TraceEvent{};
 }
 
-namespace {
-/// JSON string escape for span names/categories (quotes, backslashes and
-/// control characters; names are code literals, but a stray character must
-/// not corrupt the whole trace file).
-std::string escape(const char* s) {
-  std::string out;
-  for (const char* p = s; *p != '\0'; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += *p;
-    } else if (c < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += *p;
-    }
-  }
-  return out;
-}
-}  // namespace
-
 std::string trace_to_chrome_json() {
-  const std::vector<TraceEvent> events = trace_snapshot();
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  bool first = true;
-  for (const TraceEvent& e : events) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", "
-                  "\"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %u}",
-                  first ? "" : ",", escape(e.name).c_str(),
-                  escape(e.cat).c_str(),
-                  static_cast<double>(e.ts_ns) * 1e-3,
-                  static_cast<double>(e.dur_ns) * 1e-3, e.tid);
-    os << buf;
-    first = false;
+  json::Writer w;
+  w.begin_object().field("displayTimeUnit", "ms").key("traceEvents");
+  w.begin_array();
+  for (const TraceEvent& e : trace_snapshot()) {
+    w.begin_object().field("name", e.name).field("cat", e.cat);
+    w.field("ph", "X").field("ts", static_cast<double>(e.ts_ns) / 1e3);
+    w.field("dur", static_cast<double>(e.dur_ns) / 1e3).field("pid", 1);
+    w.field("tid", e.tid).end_object();
   }
-  os << "\n]}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.str();
 }
 
 bool save_trace_chrome_json(const std::string& path) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -127,6 +128,25 @@ TEST(KpmCodec, DeclaredFeatureCountIsBoundsChecked) {
   oran::KpmFrameView v;
   EXPECT_EQ(oran::decode_kpm_frame(frame, v),
             oran::KpmDecodeStatus::kTruncated);
+}
+
+TEST(KpmCodec, NonFiniteFeaturesAreRejected) {
+  oran::KpmFrameArena arena;
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    std::vector<float> feats(4, 0.5f);
+    feats[2] = bad;
+    const std::string frame(arena.encode(1, 1, oran::IndicationKind::kKpm,
+                                         std::span<const float>(feats)));
+    oran::KpmFrameView v;
+    EXPECT_EQ(oran::decode_kpm_frame(frame, v),
+              oran::KpmDecodeStatus::kNonFinite)
+        << bad;
+    EXPECT_EQ(v.feature_bytes, nullptr) << "a rejected decode leaves out alone";
+  }
+  EXPECT_STREQ(oran::kpm_decode_status_name(oran::KpmDecodeStatus::kNonFinite),
+               "non_finite");
 }
 
 // --------------------------------------------------- simulator determinism
@@ -427,6 +447,23 @@ TEST(RicDelivery, MalformedFramesAreCountedNotDispatched) {
   flipped[oran::kKpmFrameHeaderBytes] ^= 0x01;
   EXPECT_FALSE(fx.ric.deliver_kpm_frame(flipped));
   EXPECT_EQ(fx.ric.frames_rejected(), 2u);
+}
+
+TEST(RicDelivery, NonFiniteFramesAreCountedNotDispatched) {
+  RicFixture fx;
+  oran::KpmFrameArena arena;
+  std::vector<float> feats(8, 0.25f);
+  feats[5] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(fx.ric.deliver_kpm_frame(arena.encode(
+      2, 1, oran::IndicationKind::kKpm, std::span<const float>(feats))));
+  feats[5] = std::numeric_limits<float>::infinity();
+  EXPECT_FALSE(fx.ric.deliver_kpm_frame(arena.encode(
+      2, 2, oran::IndicationKind::kKpm, std::span<const float>(feats))));
+  EXPECT_EQ(fx.ric.frames_rejected(), 2u);
+  nn::Tensor stored;
+  EXPECT_NE(fx.ric.sdl().read_tensor(oran::kRicPlatformId, oran::kNsKpm,
+                                     "cell-2/current", stored),
+            oran::SdlStatus::kOk);
 }
 
 // Both entries feed one delivery core, so under the same fault plan a

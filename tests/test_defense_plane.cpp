@@ -365,6 +365,30 @@ TEST(DefensePlane, NonFiniteFeatureIsFlaggedNotPassed) {
   EXPECT_TRUE(ve.flagged);
 }
 
+TEST(DefensePlane, StepScreenAloneFlagsANanFeature) {
+  // The step screen must hand a NaN step to the plane: clamped to 0, the
+  // row passed as clean and became the flow's last-known-good reference.
+  DefenseConfig cfg = tight_defense();
+  cfg.use_distribution = false;
+  cfg.use_ensemble = false;
+  DefensePlane plane(cfg, "nanstep");
+  Rng rng(0x1c7);
+  nn::Tensor row({4}, 0.5f);
+  nn::Tensor walk({20, 4});
+  for (int v = 0; v < 20; ++v) {
+    walk.set_batch(v, row);
+    for (std::size_t j = 0; j < 4; ++j)
+      row[j] += rng.uniform(-0.01f, 0.01f);
+  }
+  plane.calibrate_flow("flow/a", walk, /*first_version=*/0);
+  nn::Tensor poisoned = row;
+  poisoned[1] = std::numeric_limits<float>::quiet_NaN();
+  const DefenseVerdict v = plane.screen(1, "flow/a", 20, poisoned, 1);
+  EXPECT_TRUE(std::isnan(v.step_score));
+  EXPECT_TRUE(v.flagged);
+  EXPECT_EQ(plane.flagged(), 1u);
+}
+
 TEST(DefensePlane, FlaggedRowsNeverAdvanceTheLastKnownGood) {
   DefensePlane plane(tight_defense(), "lkgtest");
   defense::NormScreen seed_screen;  // reuse the walk helper's row sequence
@@ -421,7 +445,7 @@ TEST(DefensePlane, BurstTriggerLatchesFiresOnceAndRearms) {
   EXPECT_EQ(obs::flight_trigger_count(), flight_before + 1);
   EXPECT_DOUBLE_EQ(plane.burst_rate(), 1.0);
   const std::string report = obs::flight_last_report();
-  EXPECT_NE(report.find("\"schema\":\"orev-flight-v1\""), std::string::npos)
+  EXPECT_NE(report.find("\"schema\": \"orev-flight-v1\""), std::string::npos)
       << report;
   EXPECT_NE(report.find("defense.quarantine_burst"), std::string::npos);
   EXPECT_NE(report.find("bursttest"), std::string::npos);

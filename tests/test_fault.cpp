@@ -21,6 +21,7 @@
 #include "nn/layers.hpp"
 #include "oran/near_rt_ric.hpp"
 #include "oran/non_rt_ric.hpp"
+#include "test_helpers.hpp"
 #include "util/fault/circuit_breaker.hpp"
 #include "util/fault/fault.hpp"
 #include "util/fault/retry.hpp"
@@ -184,6 +185,17 @@ TEST(FaultInjector, StatsJsonIsDeterministic) {
   }
   EXPECT_EQ(a.stats_json(), b.stats_json());
   EXPECT_NE(a.stats_json().find("\"sdl.read\""), std::string::npos);
+}
+
+TEST(FaultInjector, StatsJsonStaysValidForAQuotedSiteName) {
+  // The site name is plan-file text: a stray quote must be escaped, not
+  // end the key early.
+  FaultInjector inj(FaultPlan::parse("site sdl.\"read transient p=0.5\n"));
+  for (int i = 0; i < 8; ++i) inj.decide("sdl.\"read");
+  const std::string json = inj.stats_json();
+  EXPECT_TRUE(test::JsonValidator(json).valid()) << json;
+  EXPECT_NE(json.find("\"sdl.\\\"read\": {\"ops\": 8"), std::string::npos)
+      << json;
 }
 
 // ---------------------------------------------------------- retry/backoff

@@ -1,9 +1,12 @@
 // Shared fixtures for the test suite: tiny datasets and models that train
 // in milliseconds, plus a hand-weighted linear model whose decision
-// boundary is known exactly (for attack-conformance tests).
+// boundary is known exactly (for attack-conformance tests), and a strict
+// JSON validator for the documents util/json writes.
 #pragma once
 
+#include <cctype>
 #include <memory>
+#include <string>
 
 #include "apps/model_zoo.hpp"
 #include "data/dataset.hpp"
@@ -72,5 +75,134 @@ inline double quick_fit(nn::Model& m, const data::Dataset& d,
   const nn::TrainReport r = t.fit(m, s.train.x, s.train.y, s.test.x, s.test.y);
   return r.best_val_accuracy;
 }
+
+// Strict-enough recursive-descent JSON checker: objects, arrays, strings
+// with escapes, numbers, true/false/null. Returns true iff the whole
+// input is exactly one valid JSON value. No external dependency needed.
+class JsonValidator {
+ public:
+  explicit JsonValidator(const std::string& s) : s_(s) {}
+
+  bool valid() {
+    skip_ws();
+    if (!value()) return false;
+    skip_ws();
+    return pos_ == s_.size();
+  }
+
+ private:
+  bool value() {
+    if (pos_ >= s_.size()) return false;
+    switch (s_[pos_]) {
+      case '{': return object();
+      case '[': return array();
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+
+  bool object() {
+    ++pos_;  // '{'
+    skip_ws();
+    if (peek('}')) { ++pos_; return true; }
+    while (true) {
+      skip_ws();
+      if (!string()) return false;
+      skip_ws();
+      if (!peek(':')) return false;
+      ++pos_;
+      skip_ws();
+      if (!value()) return false;
+      skip_ws();
+      if (peek(',')) { ++pos_; continue; }
+      if (peek('}')) { ++pos_; return true; }
+      return false;
+    }
+  }
+
+  bool array() {
+    ++pos_;  // '['
+    skip_ws();
+    if (peek(']')) { ++pos_; return true; }
+    while (true) {
+      skip_ws();
+      if (!value()) return false;
+      skip_ws();
+      if (peek(',')) { ++pos_; continue; }
+      if (peek(']')) { ++pos_; return true; }
+      return false;
+    }
+  }
+
+  bool string() {
+    if (!peek('"')) return false;
+    ++pos_;
+    while (pos_ < s_.size()) {
+      const char c = s_[pos_];
+      if (c == '"') { ++pos_; return true; }
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c == '\\') {
+        ++pos_;
+        if (pos_ >= s_.size()) return false;
+        const char e = s_[pos_];
+        if (e == 'u') {
+          for (int i = 0; i < 4; ++i) {
+            ++pos_;
+            if (pos_ >= s_.size() ||
+                std::isxdigit(static_cast<unsigned char>(s_[pos_])) == 0)
+              return false;
+          }
+        } else if (std::string("\"\\/bfnrt").find(e) == std::string::npos) {
+          return false;
+        }
+      }
+      ++pos_;
+    }
+    return false;  // unterminated
+  }
+
+  bool number() {
+    const std::size_t start = pos_;
+    if (peek('-')) ++pos_;
+    if (!digits()) return false;
+    if (peek('.')) {
+      ++pos_;
+      if (!digits()) return false;
+    }
+    if (peek('e') || peek('E')) {
+      ++pos_;
+      if (peek('+') || peek('-')) ++pos_;
+      if (!digits()) return false;
+    }
+    return pos_ > start;
+  }
+
+  bool digits() {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() &&
+           std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0)
+      ++pos_;
+    return pos_ > start;
+  }
+
+  bool literal(const char* lit) {
+    for (const char* p = lit; *p != '\0'; ++p, ++pos_)
+      if (pos_ >= s_.size() || s_[pos_] != *p) return false;
+    return true;
+  }
+
+  bool peek(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
+  void skip_ws() {
+    while (pos_ < s_.size() &&
+           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0)
+      ++pos_;
+  }
+
+  const std::string& s_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace orev::test

@@ -5,17 +5,20 @@
 // and the disabled-mode no-op contract for tracing.
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "util/obs/obs.hpp"
+#include "test_helpers.hpp"
 #include "util/thread_pool.hpp"
 
 namespace orev {
 namespace {
+
+using test::JsonValidator;
 
 class ThreadGuard {
  public:
@@ -34,138 +37,6 @@ class TraceGuard {
 
  private:
   bool saved_;
-};
-
-// ------------------------------------------------- mini JSON validator
-//
-// Strict-enough recursive-descent JSON checker: objects, arrays, strings
-// with escapes, numbers, true/false/null. Returns true iff the whole
-// input is exactly one valid JSON value. No external dependency needed.
-
-class JsonValidator {
- public:
-  explicit JsonValidator(const std::string& s) : s_(s) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek('}')) { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!peek(':')) return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek(',')) { ++pos_; continue; }
-      if (peek('}')) { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek(']')) { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek(',')) { ++pos_; continue; }
-      if (peek(']')) { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (!peek('"')) return false;
-    ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == '"') { ++pos_; return true; }
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= s_.size() ||
-                std::isxdigit(static_cast<unsigned char>(s_[pos_])) == 0)
-              return false;
-          }
-        } else if (std::string("\"\\/bfnrt").find(e) == std::string::npos) {
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek('-')) ++pos_;
-    if (!digits()) return false;
-    if (peek('.')) {
-      ++pos_;
-      if (!digits()) return false;
-    }
-    if (peek('e') || peek('E')) {
-      ++pos_;
-      if (peek('+') || peek('-')) ++pos_;
-      if (!digits()) return false;
-    }
-    return pos_ > start;
-  }
-
-  bool digits() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0)
-      ++pos_;
-    return pos_ > start;
-  }
-
-  bool literal(const char* lit) {
-    for (const char* p = lit; *p != '\0'; ++p, ++pos_)
-      if (pos_ >= s_.size() || s_[pos_] != *p) return false;
-    return true;
-  }
-
-  bool peek(char c) const { return pos_ < s_.size() && s_[pos_] == c; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0)
-      ++pos_;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
 };
 
 TEST(JsonValidatorSelfTest, AcceptsAndRejects) {
@@ -287,6 +158,20 @@ TEST(ObsRegistry, GetOrCreateReturnsStableAddresses) {
   // reset_values zeroes in place: cached references stay valid and read 0.
   EXPECT_EQ(a.value(), 0u);
   EXPECT_EQ(&obs::counter("test.registry.stable"), &a);
+}
+
+TEST(ObsRegistry, NonFiniteGaugeExportsAsNull) {
+  obs::Gauge& g = obs::gauge("test.export.nan_gauge");
+  g.set(std::nan(""));
+  const std::string json = obs::Registry::instance().to_json();
+  const std::string prom = obs::Registry::instance().to_prometheus();
+  g.set(0.0);
+  EXPECT_TRUE(JsonValidator(json).valid()) << json;
+  EXPECT_NE(json.find("\"test.export.nan_gauge\": null"), std::string::npos)
+      << json;
+  // The exposition format has its own spelling for a non-finite sample.
+  EXPECT_NE(prom.find("orev_test_export_nan_gauge NaN\n"), std::string::npos)
+      << prom;
 }
 
 TEST(ObsRegistry, JsonExportIsWellFormed) {

@@ -274,8 +274,8 @@ TEST(CausalTrace, ParentChainValidatesAndExports) {
   EXPECT_NE(json.find("traceEvents"), std::string::npos);
   EXPECT_NE(json.find("serve.admit"), std::string::npos);
   // Cross-lane parent links render as flow ("s"/"f") pairs.
-  EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
 }
 
 TEST(CausalTrace, ExportIsByteIdenticalForIdenticalLogs) {
@@ -331,7 +331,7 @@ TEST(FlightRecorder, CapturesTailDeterministically) {
   const std::string a = scenario();
   const std::string b = scenario();
   EXPECT_FALSE(a.empty());
-  EXPECT_NE(a.find("\"schema\":\"orev-flight-v1\""), std::string::npos);
+  EXPECT_NE(a.find("\"schema\": \"orev-flight-v1\""), std::string::npos);
   EXPECT_NE(a.find("breaker.open"), std::string::npos);
   EXPECT_NE(a.find("bad-app"), std::string::npos);
   EXPECT_NE(a.find("dispatch.bad"), std::string::npos);

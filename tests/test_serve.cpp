@@ -732,12 +732,27 @@ TEST_F(ServeTraceTest, FullRequestChainFromIndicationToControlResolves) {
   EXPECT_TRUE(obs::causal_validate(&why)) << why;
   const std::string json = obs::causal_to_chrome_json();
   for (const char* stage :
-       {"\"name\":\"e2.indication\"", "\"name\":\"dispatch.",
-        "\"name\":\"ic.classify\"", "\"name\":\"serve.admit\"",
-        "\"name\":\"batch.", "\"name\":\"replica.exec\"",
-        "\"name\":\"serve.complete\"", "\"name\":\"e2.control\""}) {
+       {"\"name\": \"e2.indication\"", "\"name\": \"dispatch.",
+        "\"name\": \"ic.classify\"", "\"name\": \"serve.admit\"",
+        "\"name\": \"batch.", "\"name\": \"replica.exec\"",
+        "\"name\": \"serve.complete\"", "\"name\": \"e2.control\""}) {
     EXPECT_NE(json.find(stage), std::string::npos) << "missing " << stage;
   }
+}
+
+TEST_F(ServeTraceTest, HostileXAppIdStaysValidInTheCausalExport) {
+  // The dispatch span is named after the registering xApp's own id, so a
+  // quote or backslash in it must be escaped in the export.
+  CausalGuard cg;
+  auto app = std::make_shared<apps::IcXApp>(
+      kpm_model(), oran::IndicationKind::kKpm, /*fixed_mcs_index=*/13);
+  ASSERT_TRUE(ric_.register_xapp(app, onboard("ev\"il\\"), 10));
+  ric_.deliver_indication(kpm4_indication(0.4f, 1));
+  const std::string json = obs::causal_to_chrome_json();
+  EXPECT_TRUE(test::JsonValidator(json).valid()) << json;
+  EXPECT_NE(json.find("\"name\": \"dispatch.ev\\\"il\\\\@"),
+            std::string::npos)
+      << json;
 }
 
 TEST_F(ServeTraceTest, FlightRecorderFiresWhenTheBreakerOpens) {

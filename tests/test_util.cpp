@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <string>
+
+#include "test_helpers.hpp"
 #include "util/check.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/sha256.hpp"
 #include "util/stats.hpp"
@@ -244,6 +252,103 @@ TEST(Csv, MixedTypes) {
   CsvWriter w;
   w.row("name", 42, 3.14);
   EXPECT_EQ(w.str(), "name,42,3.14\n");
+}
+
+// ------------------------------------------------------------------- json
+
+TEST(JsonWriter, EscapesQuoteBackslashAndControlCharacters) {
+  json::Writer w;
+  w.begin_object().field("k\"ey", "a\"b\\c\nd\te\r\x01\x1f/").end_object();
+  EXPECT_EQ(w.str(),
+            "{\n  \"k\\\"ey\": \"a\\\"b\\\\c\\nd\\te\\r\\u0001\\u001f/\"\n}\n");
+  EXPECT_TRUE(test::JsonValidator(w.str()).valid()) << w.str();
+}
+
+TEST(JsonWriter, NonFiniteDoublesAreNull) {
+  json::Writer w;
+  w.begin_array()
+      .value(std::nan(""))
+      .value(std::numeric_limits<double>::infinity())
+      .value(-std::numeric_limits<double>::infinity())
+      .value(0.1)
+      .end_array();
+  EXPECT_EQ(w.str(), "[\n  null,\n  null,\n  null,\n  0.1\n]\n");
+}
+
+TEST(JsonWriter, DoublesRoundTripInShortestForm) {
+  for (const double v : {0.1, 1.0 / 3.0, 2.5e-310, 1e21, -123456.789}) {
+    json::Writer w;
+    w.begin_array().value(v).end_array();
+    const std::string doc = w.str();
+    EXPECT_EQ(std::strtod(doc.c_str() + 4, nullptr), v) << doc;
+  }
+  json::Writer w;
+  w.begin_array().value(0.1).value(3.0).value(-0.0).end_array();
+  EXPECT_EQ(w.str(), "[\n  0.1,\n  3,\n  -0\n]\n");
+}
+
+TEST(JsonWriter, NestingAndCommaPlacement) {
+  json::Writer w;
+  w.begin_object().field("a", 1);
+  w.key("b").begin_object().key("c").begin_array().value(1).value(2);
+  w.end_array().key("d").begin_object().key("e").begin_array().end_array();
+  w.key("f").begin_object().end_object().end_object().end_object();
+  w.key("g").begin_array().end_array();
+  w.key("h").begin_array().begin_object().field("x", true).end_object();
+  w.end_array().field("i", false).end_object();
+  EXPECT_EQ(w.str(),
+            "{\n"
+            "  \"a\": 1,\n"
+            "  \"b\": {\n"
+            "    \"c\": [1, 2],\n"
+            "    \"d\": {\"e\": [], \"f\": {}}\n"
+            "  },\n"
+            "  \"g\": [],\n"
+            "  \"h\": [\n"
+            "    {\"x\": true}\n"
+            "  ],\n"
+            "  \"i\": false\n"
+            "}\n");
+  EXPECT_TRUE(test::JsonValidator(w.str()).valid());
+}
+
+TEST(JsonWriter, IntegersAreExact) {
+  json::Writer w;
+  w.begin_object()
+      .field("max", std::numeric_limits<std::uint64_t>::max())
+      .field("min", std::numeric_limits<std::int64_t>::min())
+      .end_object();
+  EXPECT_EQ(w.str(),
+            "{\n  \"max\": 18446744073709551615,\n"
+            "  \"min\": -9223372036854775808\n}\n");
+}
+
+TEST(JsonWriter, RawSplicesADocumentInline) {
+  json::Writer inner;
+  inner.begin_object().field("seed", 7).key("sites").begin_object();
+  inner.key("a").begin_object().field("ops", 1).end_object();
+  inner.key("b").begin_object().end_object().end_object().end_object();
+  json::Writer w;
+  w.begin_object().key("run").begin_object().key("faults").raw(inner.str());
+  w.end_object().end_object();
+  EXPECT_EQ(w.str(),
+            "{\n  \"run\": {\n    \"faults\": {\"seed\": 7, \"sites\": "
+            "{\"a\": {\"ops\": 1}, \"b\": {}}}\n  }\n}\n");
+}
+
+TEST(JsonWriter, MisuseThrows) {
+  json::Writer unclosed;
+  unclosed.begin_object();
+  EXPECT_THROW(unclosed.str(), CheckError);
+  json::Writer keyless;
+  keyless.begin_object();
+  EXPECT_THROW(keyless.value(1), CheckError);
+  json::Writer key_in_array;
+  key_in_array.begin_array();
+  EXPECT_THROW(key_in_array.key("k"), CheckError);
+  json::Writer mismatched;
+  mismatched.begin_array();
+  EXPECT_THROW(mismatched.end_object(), CheckError);
 }
 
 }  // namespace
